@@ -1,13 +1,13 @@
 """Validated, immutable WAN graph over datacenter indices.
 
-A thin wrapper around :class:`networkx.Graph` that enforces the
-invariants routing relies on:
+A per-node adjacency list (``{neighbour: distance_km}``, sorted by
+neighbour) that enforces the invariants routing relies on:
 
 * nodes are exactly ``0..n-1`` (datacenter indices);
 * every edge carries a strictly positive ``distance_km`` weight;
 * the graph is connected (every requester can reach every holder).
 
-The wrapper is immutable after construction — topology changes in the
+The graph is immutable after construction — topology changes in the
 paper happen at the *server* level (join/failure/recovery), never at the
 WAN level, so a frozen graph lets the router cache all-pairs paths once.
 """
@@ -16,11 +16,30 @@ from __future__ import annotations
 
 from collections.abc import Iterable
 
-import networkx as nx
-
 from ..errors import TopologyError
 
 __all__ = ["WanGraph"]
+
+
+def _components(adj: list[dict[int, float]]) -> list[list[int]]:
+    """Connected components, each sorted, ordered by their smallest node."""
+    seen = [False] * len(adj)
+    components: list[list[int]] = []
+    for root in range(len(adj)):
+        if seen[root]:
+            continue
+        seen[root] = True
+        stack = [root]
+        members: list[int] = []
+        while stack:
+            node = stack.pop()
+            members.append(node)
+            for nbr in adj[node]:
+                if not seen[nbr]:
+                    seen[nbr] = True
+                    stack.append(nbr)
+        components.append(sorted(members))
+    return components
 
 
 class WanGraph:
@@ -47,8 +66,7 @@ class WanGraph:
     ) -> None:
         if num_nodes < 1:
             raise TopologyError(f"num_nodes must be >= 1, got {num_nodes}")
-        graph = nx.Graph()
-        graph.add_nodes_from(range(num_nodes))
+        adj: list[dict[int, float]] = [{} for _ in range(num_nodes)]
         for u, v, dist in edges:
             if not (0 <= u < num_nodes and 0 <= v < num_nodes):
                 raise TopologyError(f"edge ({u}, {v}) references an unknown node")
@@ -56,13 +74,14 @@ class WanGraph:
                 raise TopologyError(f"self-loop on node {u} is not allowed")
             if dist <= 0:
                 raise TopologyError(f"edge ({u}, {v}) must have positive distance, got {dist}")
-            if graph.has_edge(u, v):
+            if v in adj[u]:
                 raise TopologyError(f"duplicate edge ({u}, {v})")
-            graph.add_edge(u, v, distance_km=float(dist))
-        if num_nodes > 1 and not allow_disconnected and not nx.is_connected(graph):
-            components = [sorted(c) for c in nx.connected_components(graph)]
-            raise TopologyError(f"WAN graph is disconnected: components {components}")
-        self._graph = graph
+            adj[u][v] = adj[v][u] = float(dist)
+        if num_nodes > 1 and not allow_disconnected:
+            components = _components(adj)
+            if len(components) > 1:
+                raise TopologyError(f"WAN graph is disconnected: components {components}")
+        self._adj = [dict(sorted(nbrs.items())) for nbrs in adj]
         self._num_nodes = num_nodes
 
     # ------------------------------------------------------------------
@@ -74,37 +93,34 @@ class WanGraph:
     @property
     def num_edges(self) -> int:
         """Number of WAN links."""
-        return self._graph.number_of_edges()
+        return sum(map(len, self._adj)) // 2
 
     def neighbors(self, node: int) -> tuple[int, ...]:
         """Sorted neighbour datacenters of ``node``."""
         self._check_node(node)
-        return tuple(sorted(self._graph.neighbors(node)))
+        return tuple(self._adj[node])
 
     def has_edge(self, u: int, v: int) -> bool:
         """True when a direct WAN link connects ``u`` and ``v``."""
-        return self._graph.has_edge(u, v)
+        return 0 <= u < self._num_nodes and v in self._adj[u]
 
     def edge_distance_km(self, u: int, v: int) -> float:
         """Distance of the direct link ``u``–``v``.
 
         Raises :class:`TopologyError` when no such link exists.
         """
-        if not self._graph.has_edge(u, v):
+        if not self.has_edge(u, v):
             raise TopologyError(f"no WAN link between {u} and {v}")
-        return float(self._graph.edges[u, v]["distance_km"])
+        return self._adj[u][v]
 
     def edges(self) -> tuple[tuple[int, int, float], ...]:
         """All edges as sorted ``(u, v, distance_km)`` triples with u < v."""
-        out = []
-        for u, v, data in self._graph.edges(data=True):
-            a, b = (u, v) if u < v else (v, u)
-            out.append((a, b, float(data["distance_km"])))
-        return tuple(sorted(out))
-
-    def as_networkx(self) -> nx.Graph:
-        """A *copy* of the underlying graph (callers cannot mutate ours)."""
-        return self._graph.copy()
+        return tuple(
+            (u, v, dist)
+            for u, nbrs in enumerate(self._adj)
+            for v, dist in nbrs.items()
+            if u < v
+        )
 
     def without_links(self, links: Iterable[tuple[int, int]]) -> "WanGraph":
         """A degraded copy with the given links removed.
@@ -118,7 +134,7 @@ class WanGraph:
         cut = set()
         for u, v in links:
             a, b = (u, v) if u < v else (v, u)
-            if not self._graph.has_edge(a, b):
+            if not self.has_edge(a, b):
                 raise TopologyError(f"cannot cut non-existent WAN link ({u}, {v})")
             cut.add((a, b))
         kept = [e for e in self.edges() if (e[0], e[1]) not in cut]

@@ -15,6 +15,9 @@ once per topology — the WAN never changes during a run — and exposes:
 
 from __future__ import annotations
 
+import heapq
+import math
+
 import numpy as np
 
 from ..errors import TopologyError
@@ -38,31 +41,34 @@ class Router:
         # _next_hop[s, d] = first hop on the path s -> d (or -1 on s == d).
         self._next_hop = np.full((n, n), -1, dtype=np.int64)
         self._paths: dict[tuple[int, int], tuple[int, ...]] = {}
+        adjacency = [
+            [(v, wan.edge_distance_km(u, v)) for v in wan.neighbors(u)] for u in range(n)
+        ]
         for source in range(n):
-            self._run_dijkstra(source)
+            self._run_dijkstra(source, adjacency)
 
     # ------------------------------------------------------------------
     # Construction helpers
     # ------------------------------------------------------------------
-    def _run_dijkstra(self, source: int) -> None:
-        n = self._wan.num_nodes
-        dist = np.full(n, np.inf, dtype=np.float64)
-        prev = np.full(n, -1, dtype=np.int64)
-        visited = np.zeros(n, dtype=bool)
+    def _run_dijkstra(self, source: int, adjacency: list[list[tuple[int, float]]]) -> None:
+        n = len(adjacency)
+        dist = [math.inf] * n
+        prev = [-1] * n
+        visited = [False] * n
+        settled: list[int] = []
         dist[source] = 0.0
-        for _ in range(n):
-            # Deterministic extraction: smallest distance, then smallest id.
-            pending = np.where(~visited)[0]
-            if pending.size == 0:
-                break
-            u = int(pending[np.argmin(dist[pending])])
-            if not np.isfinite(dist[u]):
-                break
+        # Deterministic extraction: smallest distance, then smallest id.
+        heap = [(0.0, source)]
+        while heap:
+            d, u = heapq.heappop(heap)
+            if visited[u] or d != dist[u]:
+                continue  # stale entry: u was settled or re-labelled since
             visited[u] = True
-            for v in self._wan.neighbors(u):
+            settled.append(u)
+            for v, weight in adjacency[u]:
                 if visited[v]:
                     continue
-                cand = dist[u] + self._wan.edge_distance_km(u, v)
+                cand = d + weight
                 # Strict improvement, or equal distance with a smaller
                 # predecessor index: both keep routing deterministic.
                 if cand < dist[v] - 1e-12 or (
@@ -70,21 +76,17 @@ class Router:
                 ):
                     dist[v] = cand
                     prev[v] = u
+                    heapq.heappush(heap, (cand, v))
         self._dist[source, :] = dist
-        for dest in range(n):
-            if dest == source or not np.isfinite(dist[dest]):
-                continue
-            path = [dest]
-            node = dest
-            while node != source:
-                node = int(prev[node])
-                if node < 0:  # pragma: no cover - connectivity is validated
-                    raise TopologyError(f"no path from {source} to {dest}")
-                path.append(node)
-            path.reverse()
-            self._paths[(source, dest)] = tuple(path)
-            self._next_hop[source, dest] = path[1]
-        self._paths[(source, source)] = (source,)
+        # A node settles after its predecessor, so each path extends one
+        # already built.
+        paths = self._paths
+        paths[(source, source)] = (source,)
+        next_hop = self._next_hop[source]
+        for dest in settled[1:]:
+            path = paths[(source, prev[dest])] + (dest,)
+            paths[(source, dest)] = path
+            next_hop[dest] = path[1]
 
     # ------------------------------------------------------------------
     # Queries

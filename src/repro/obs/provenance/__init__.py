@@ -7,10 +7,10 @@ as a ``repro-prov`` v1 ``.prov.json`` artifact, and answers questions
 about it (``repro explain``, ``repro provdiff``).
 """
 
+import importlib
+from typing import Any
+
 from .artifact import PROV_FORMAT, PROV_VERSION, ProvArtifact
-from .crosscheck import crosscheck_trace
-from .explain import render_explanation
-from .provdiff import Divergence, ProvDiffReport, diff_provenance
 from .recorder import DEFAULT_BUDGET, ProvenanceRecorder
 from .records import (
     CandidateEval,
@@ -18,6 +18,15 @@ from .records import (
     DecisionRecord,
     PredicateEval,
 )
+
+# Query tools over saved ledgers; recording a run never needs them.
+_DEFERRED = {
+    "crosscheck_trace": "crosscheck",
+    "render_explanation": "explain",
+    "Divergence": "provdiff",
+    "ProvDiffReport": "provdiff",
+    "diff_provenance": "provdiff",
+}
 
 __all__ = [
     "PROV_FORMAT",
@@ -35,3 +44,13 @@ __all__ = [
     "DecisionRecord",
     "PredicateEval",
 ]
+
+
+def __getattr__(name: str) -> Any:
+    try:
+        submodule = _DEFERRED[name]
+    except KeyError:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}") from None
+    value = getattr(importlib.import_module(f".{submodule}", __name__), name)
+    globals()[name] = value
+    return value

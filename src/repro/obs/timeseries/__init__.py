@@ -17,20 +17,25 @@ performance claim a later PR will make.
   with inline-SVG panels; backs ``repro dashboard`` (`dashboard.py`).
 """
 
+import importlib
+from typing import Any
+
 from .artifact import TSDB_FORMAT, TSDB_VERSION, Marker, TsdbArtifact
-from .dashboard import render_dashboard
-from .diff import (
-    ColumnDiff,
-    DiffReport,
-    Tolerance,
-    diff_artifacts,
-    polarity_of,
-    render_diff_json,
-    render_diff_markdown,
-    render_diff_text,
-    tolerance_of,
-)
 from .recorder import TimeseriesRecorder
+
+# Diffing and the HTML dashboard read saved artifacts; recording never needs them.
+_DEFERRED = {
+    "render_dashboard": "dashboard",
+    "ColumnDiff": "diff",
+    "DiffReport": "diff",
+    "Tolerance": "diff",
+    "diff_artifacts": "diff",
+    "polarity_of": "diff",
+    "render_diff_json": "diff",
+    "render_diff_markdown": "diff",
+    "render_diff_text": "diff",
+    "tolerance_of": "diff",
+}
 
 __all__ = [
     "TSDB_FORMAT",
@@ -49,3 +54,13 @@ __all__ = [
     "render_diff_text",
     "tolerance_of",
 ]
+
+
+def __getattr__(name: str) -> Any:
+    try:
+        submodule = _DEFERRED[name]
+    except KeyError:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}") from None
+    value = getattr(importlib.import_module(f".{submodule}", __name__), name)
+    globals()[name] = value
+    return value

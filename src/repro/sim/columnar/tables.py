@@ -11,17 +11,19 @@ materialises them once per router:
 * ``km[o, h, l]`` — ``router.distance_km(o, path[o, h, l])``;
 * ``miss[o, h, l]`` — whether a query absorbed there violates the SLA.
 
-Every float in ``km`` and every flag in ``miss`` is produced by calling
-the *scalar* router / latency-model methods at build time, so the kernel
-reads back the exact same values the scalar walk computes per query —
-table lookups cannot introduce rounding differences.
+Levels at or past ``plen`` are padding: ``path`` and ``km`` hold zero
+there and ``miss`` holds False.  ``km`` is gathered from the router's
+distance matrix, so it holds the very floats ``distance_km`` returns.
+``miss`` evaluates :meth:`LatencyModel.response_ms` elementwise with the
+same float operations in the same order, so every flag equals the
+scalar comparison — table lookups cannot introduce rounding differences.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from ...metrics.latency import LatencyModel
+from ...metrics.latency import FIBRE_KM_PER_MS, LatencyModel
 from ...net.routing import Router
 
 __all__ = ["RouterTables"]
@@ -39,35 +41,33 @@ class RouterTables:
         "max_len",
         "origin_start",
         "level0_stats_free",
-        "path_rows",
-        "km_rows",
-        "miss_rows",
         "rows3",
     )
 
     def __init__(self, router: Router, latency: LatencyModel) -> None:
         num_dcs = router.num_nodes
-        max_len = 1
-        for origin in range(num_dcs):
-            for holder in range(num_dcs):
-                max_len = max(max_len, len(router.path(origin, holder)))
+        routes = [router.path(o, h) for o in range(num_dcs) for h in range(num_dcs)]
+        max_len = max(len(route) for route in routes)
         self.num_dcs = num_dcs
         self.max_len = max_len
-        self.path = np.zeros((num_dcs, num_dcs, max_len), dtype=np.int64)
-        self.plen = np.zeros((num_dcs, num_dcs), dtype=np.int64)
-        self.km = np.zeros((num_dcs, num_dcs, max_len), dtype=np.float64)
-        self.miss = np.zeros((num_dcs, num_dcs, max_len), dtype=bool)
-        for origin in range(num_dcs):
-            for holder in range(num_dcs):
-                route = router.path(origin, holder)
-                self.plen[origin, holder] = len(route)
-                for level, dc in enumerate(route):
-                    distance = router.distance_km(origin, dc)
-                    self.path[origin, holder, level] = dc
-                    self.km[origin, holder, level] = distance
-                    self.miss[origin, holder, level] = (
-                        latency.response_ms(distance, level) > latency.sla_ms
-                    )
+        path = np.zeros((num_dcs * num_dcs, max_len), dtype=np.int64)
+        for row, route in zip(path, routes):
+            row[: len(route)] = route
+        self.path = path.reshape(num_dcs, num_dcs, max_len)
+        self.plen = np.array([len(route) for route in routes], dtype=np.int64).reshape(
+            num_dcs, num_dcs
+        )
+        level = np.arange(max_len)
+        on_route = level < self.plen[:, :, None]
+        origin = np.arange(num_dcs)[:, None, None]
+        self.km = np.where(on_route, router.distance_matrix_km()[origin, self.path], 0.0)
+        # LatencyModel.response_ms(km, level) > sla_ms, term for term.
+        response = (
+            2.0 * self.km / FIBRE_KM_PER_MS
+            + level * latency.hop_overhead_ms
+            + latency.service_ms
+        )
+        self.miss = on_route & (response > latency.sla_ms)
         for table in (self.path, self.plen, self.km, self.miss):
             table.setflags(write=False)
         # Kernel fast-path facts, proven against the built tables: every
@@ -80,17 +80,13 @@ class RouterTables:
         self.level0_stats_free = bool(
             (self.km[:, :, 0] == 0.0).all()  # repro: noqa[REP004]
         ) and not bool(self.miss[:, :, 0].any())
-        # Python-list mirrors for the kernel's tail walk; the lists hold
-        # the same float64/bool/int objects the arrays do, so reads are
-        # value-identical.  ``rows3[o][h]`` bundles one route's three
-        # per-level rows so the walk fetches them with a single lookup.
-        self.path_rows: list[list[list[int]]] = self.path.tolist()
-        self.km_rows: list[list[list[float]]] = self.km.tolist()
-        self.miss_rows: list[list[list[bool]]] = self.miss.tolist()
+        # Python-list mirror for the kernel's tail walk: ``rows3[o][h]``
+        # bundles one route's path, km and miss rows so the walk fetches
+        # them with a single lookup.  The lists hold the same
+        # float64/bool/int values the arrays do, so reads are identical.
         self.rows3: list[list[tuple[list[int], list[float], list[bool]]]] = [
-            [
-                (self.path_rows[o][h], self.km_rows[o][h], self.miss_rows[o][h])
-                for h in range(num_dcs)
-            ]
-            for o in range(num_dcs)
+            list(zip(path_o, km_o, miss_o))
+            for path_o, km_o, miss_o in zip(
+                self.path.tolist(), self.km.tolist(), self.miss.tolist()
+            )
         ]

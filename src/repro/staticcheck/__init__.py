@@ -23,26 +23,9 @@ CLI entry points: ``repro lint`` (``--select REP1,REP2,AUD``) and
 DESIGN.md §9.
 """
 
-from .analyzers import AUDIT_RULE_IDS, FILE_ANALYZERS, FileAnalyzer, expand_select
-from .baseline import DEFAULT_BASELINE_NAME, Baseline, BaselineError
-from .engine import (
-    LintError,
-    LintResult,
-    changed_python_files,
-    lint_paths,
-    lint_source,
-)
-from .findings import (
-    ALL_RULE_IDS,
-    DEFAULT_RULE_IDS,
-    FAMILIES,
-    RULES,
-    Finding,
-    Rule,
-    rule_family,
-)
-from .project import ProjectLayout, find_project_root, run_project_audit
-from .reporting import RENDERERS, render_github, render_json, render_text
+import importlib
+from typing import Any
+
 from .sanitizer import (
     COMPONENTS,
     DeterminismSanitizer,
@@ -52,6 +35,36 @@ from .sanitizer import (
     FingerprintTrail,
     bisect_divergence,
 )
+
+# The lint platform serves only `repro lint`; runs need just the sanitizer.
+_DEFERRED = {
+    "AUDIT_RULE_IDS": "analyzers",
+    "FILE_ANALYZERS": "analyzers",
+    "FileAnalyzer": "analyzers",
+    "expand_select": "analyzers",
+    "DEFAULT_BASELINE_NAME": "baseline",
+    "Baseline": "baseline",
+    "BaselineError": "baseline",
+    "LintError": "engine",
+    "LintResult": "engine",
+    "changed_python_files": "engine",
+    "lint_paths": "engine",
+    "lint_source": "engine",
+    "ALL_RULE_IDS": "findings",
+    "DEFAULT_RULE_IDS": "findings",
+    "FAMILIES": "findings",
+    "RULES": "findings",
+    "Finding": "findings",
+    "Rule": "findings",
+    "rule_family": "findings",
+    "ProjectLayout": "project",
+    "find_project_root": "project",
+    "run_project_audit": "project",
+    "RENDERERS": "reporting",
+    "render_github": "reporting",
+    "render_json": "reporting",
+    "render_text": "reporting",
+}
 
 __all__ = [
     "ALL_RULE_IDS",
@@ -87,3 +100,13 @@ __all__ = [
     "render_text",
     "rule_family",
 ]
+
+
+def __getattr__(name: str) -> Any:
+    try:
+        submodule = _DEFERRED[name]
+    except KeyError:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}") from None
+    value = getattr(importlib.import_module(f".{submodule}", __name__), name)
+    globals()[name] = value
+    return value

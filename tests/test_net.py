@@ -2,12 +2,23 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.errors import TopologyError
-from repro.geo import build_default_hierarchy
-from repro.net import Router, WanGraph, build_default_wan, build_wan, great_circle_km
+from repro.geo import build_default_hierarchy, build_synthetic_hierarchy
+from repro.metrics.latency import LatencyModel
+from repro.net import (
+    Router,
+    WanGraph,
+    build_default_wan,
+    build_ring_wan,
+    build_wan,
+    great_circle_km,
+)
 from repro.net.builder import DEFAULT_LINKS
 from repro.net.coordinates import INTRA_DATACENTER_KM, site_distance_km
+from repro.sim.columnar.tables import RouterTables
 
 
 class TestGreatCircle:
@@ -78,11 +89,16 @@ class TestWanGraph:
         wan = WanGraph(3, [(2, 0, 4.0), (1, 0, 3.0)])
         assert wan.edges() == ((0, 1, 3.0), (0, 2, 4.0))
 
-    def test_as_networkx_is_a_copy(self):
+    def test_has_edge_false_for_out_of_range_nodes(self):
         wan = WanGraph(2, [(0, 1, 1.0)])
-        g = wan.as_networkx()
-        g.remove_edge(0, 1)
-        assert wan.has_edge(0, 1)
+        assert wan.has_edge(0, 1) and wan.has_edge(1, 0)
+        assert not wan.has_edge(0, 2)
+        assert not wan.has_edge(2, 0)
+        assert not wan.has_edge(-1, 1)
+
+    def test_disconnected_error_names_components(self):
+        with pytest.raises(TopologyError, match=r"components \[\[0, 3\], \[1, 2\], \[4\]\]"):
+            WanGraph(5, [(2, 1, 1.0), (3, 0, 1.0)])
 
 
 class TestRouter:
@@ -175,3 +191,166 @@ class TestBuilder:
         assert wan.edge_distance_km(a.index, b.index) == pytest.approx(
             site_distance_km(a, b)
         )
+
+
+def reference_routes(wan):
+    """The original numpy-argmin Dijkstra, kept as the router's reference.
+
+    Returns ``(dist, next_hop, paths)`` over every source, with the
+    router's tie-breaks: extract by (distance, node id), relax with a
+    1e-12 tolerance, and keep the smaller predecessor on a tie.
+    """
+    n = wan.num_nodes
+    all_dist = np.full((n, n), np.inf, dtype=np.float64)
+    all_next = np.full((n, n), -1, dtype=np.int64)
+    paths = {}
+    for source in range(n):
+        dist = np.full(n, np.inf, dtype=np.float64)
+        prev = np.full(n, -1, dtype=np.int64)
+        visited = np.zeros(n, dtype=bool)
+        dist[source] = 0.0
+        for _ in range(n):
+            pending = np.where(~visited)[0]
+            if pending.size == 0:
+                break
+            u = int(pending[np.argmin(dist[pending])])
+            if not np.isfinite(dist[u]):
+                break
+            visited[u] = True
+            for v in wan.neighbors(u):
+                if visited[v]:
+                    continue
+                cand = dist[u] + wan.edge_distance_km(u, v)
+                if cand < dist[v] - 1e-12 or (
+                    abs(cand - dist[v]) <= 1e-12 and prev[v] > u
+                ):
+                    dist[v] = cand
+                    prev[v] = u
+        all_dist[source, :] = dist
+        for dest in range(n):
+            if dest == source or not np.isfinite(dist[dest]):
+                continue
+            path = [dest]
+            while path[-1] != source:
+                path.append(int(prev[path[-1]]))
+            path.reverse()
+            paths[(source, dest)] = tuple(path)
+            all_next[source, dest] = path[1]
+        paths[(source, source)] = (source,)
+    return all_dist, all_next, paths
+
+
+def assert_router_matches_reference(wan):
+    ref_dist, ref_next, ref_paths = reference_routes(wan)
+    router = Router(wan)
+    dist = router.distance_matrix_km()
+    assert dist.view(np.int64).tolist() == ref_dist.view(np.int64).tolist()
+    n = wan.num_nodes
+    for s in range(n):
+        for d in range(n):
+            if (s, d) not in ref_paths:
+                assert not router.reachable(s, d)
+                with pytest.raises(TopologyError):
+                    router.path(s, d)
+                with pytest.raises(TopologyError):
+                    router.next_hop(s, d)
+                continue
+            assert router.path(s, d) == ref_paths[(s, d)]
+            expected_hop = s if s == d else int(ref_next[s, d])
+            assert router.next_hop(s, d) == expected_hop
+
+
+#: Weights chosen to tie: 0.1 + 0.2 and 0.3 differ by less than the
+#: router's 1e-12 tolerance, and 1.0 + 1.0 == 2.0 exactly.
+TIE_PRONE_WEIGHTS = (1.0, 2.0, 0.1 + 0.2, 0.3)
+
+
+@st.composite
+def tie_prone_wans(draw):
+    """A connected graph (random spanning tree plus extra links)."""
+    n = draw(st.integers(min_value=2, max_value=9))
+    weight = st.sampled_from(TIE_PRONE_WEIGHTS)
+    edges = {}
+    for v in range(1, n):
+        u = draw(st.integers(min_value=0, max_value=v - 1))
+        edges[(u, v)] = draw(weight)
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n) if (u, v) not in edges]
+    if pairs:
+        for pair in draw(st.lists(st.sampled_from(pairs), unique=True, max_size=2 * n)):
+            edges[pair] = draw(weight)
+    return WanGraph(n, [(u, v, w) for (u, v), w in edges.items()])
+
+
+class TestRouterAgainstReference:
+    @settings(max_examples=150, deadline=None)
+    @given(wan=tie_prone_wans())
+    def test_connected_graphs(self, wan):
+        assert_router_matches_reference(wan)
+
+    @settings(max_examples=60, deadline=None)
+    @given(wan=tie_prone_wans(), data=st.data())
+    def test_without_links_cuts(self, wan, data):
+        links = [(u, v) for u, v, _ in wan.edges()]
+        cut = data.draw(st.lists(st.sampled_from(links), unique=True, max_size=len(links)))
+        assert_router_matches_reference(wan.without_links(cut))
+
+    def test_default_and_ring_wans(self, wan):
+        assert_router_matches_reference(wan)
+        assert_router_matches_reference(build_ring_wan(build_synthetic_hierarchy(40)))
+
+
+def reference_tables(router, latency):
+    """The original per-route build of :class:`RouterTables`' four tables."""
+    n = router.num_nodes
+    max_len = max(len(router.path(o, h)) for o in range(n) for h in range(n))
+    path = np.zeros((n, n, max_len), dtype=np.int64)
+    plen = np.zeros((n, n), dtype=np.int64)
+    km = np.zeros((n, n, max_len), dtype=np.float64)
+    miss = np.zeros((n, n, max_len), dtype=bool)
+    for o in range(n):
+        for h in range(n):
+            route = router.path(o, h)
+            plen[o, h] = len(route)
+            for level, dc in enumerate(route):
+                distance = router.distance_km(o, dc)
+                path[o, h, level] = dc
+                km[o, h, level] = distance
+                miss[o, h, level] = latency.response_ms(distance, level) > latency.sla_ms
+    return path, plen, km, miss
+
+
+class TestRouterTablesAgainstReference:
+    @pytest.mark.parametrize("topology", ["default", "ring-100", "chaos-cut"])
+    @pytest.mark.parametrize("sla", ["default", "boundary"])
+    def test_tables_bit_equal(self, topology, sla):
+        hierarchy, wan = build_default_wan()
+        if topology == "ring-100":
+            wan = build_ring_wan(build_synthetic_hierarchy(100))
+        elif topology == "chaos-cut":
+            # The wan-partition scenario's Pacific link alone: Asia
+            # stays reachable, rerouted through the Eurasian link.
+            i, e = hierarchy.by_name("I").index, hierarchy.by_name("E").index
+            wan = wan.without_links([(i, e)])
+        router = Router(wan)
+        latency = LatencyModel()
+        if sla == "boundary":
+            # The SLA equals the median route response exactly, so any
+            # rounding difference at that entry flips its miss flag.
+            _, _, km, _ = reference_tables(router, latency)
+            responses = sorted(
+                latency.response_ms(km[o, h, level], level)
+                for o in range(router.num_nodes)
+                for h in range(router.num_nodes)
+                for level in range(1, len(router.path(o, h)))
+            )
+            latency = LatencyModel(sla_ms=responses[len(responses) // 2])
+        tables = RouterTables(router, latency)
+        path, plen, km, miss = reference_tables(router, latency)
+        assert tables.path.dtype == path.dtype and tables.path.tolist() == path.tolist()
+        assert tables.plen.dtype == plen.dtype and tables.plen.tolist() == plen.tolist()
+        assert tables.km.dtype == km.dtype
+        assert tables.km.view(np.int64).tolist() == km.view(np.int64).tolist()
+        assert tables.miss.dtype == miss.dtype and tables.miss.tolist() == miss.tolist()
+        if sla == "boundary":
+            # Both SLA outcomes occur, so the miss comparison is not vacuous.
+            assert miss.any() and (~miss & (km > 0)).any()
