@@ -1,11 +1,15 @@
 """The versioned ``repro-prov`` v1 columnar ``.prov.json`` artifact.
 
 One :class:`ProvArtifact` is the on-disk product of a provenance-
-recorded run: every :class:`~repro.obs.provenance.records.DecisionRecord`
-flattened into three columnar tables (decisions, predicates,
-candidates) plus an interned string table, run metadata and the
-recorder's compaction ledger.  Like ``.tsdb.json``, the format is plain
-JSON (``jq``-able without this library), NaN-safe (non-finite floats
+recorded run: three columnar tables (decisions, predicates, candidates)
+plus an interned string table, run metadata and the recorder's
+compaction ledger.  The artifact holds the recorder's
+:class:`~repro.obs.provenance.ledger.Ledger` columns, not a copy:
+``records`` is a read view whose
+:class:`~repro.obs.provenance.records.DecisionRecord` items are built on
+demand, and :meth:`ProvArtifact.save` streams the columns to disk in
+bounded chunks.  Like ``.tsdb.json``, the format is plain JSON
+(``jq``-able without this library), NaN-safe (non-finite floats
 serialize as ``null``) and validated on load — every malformed input
 raises :class:`~repro.errors.ProvenanceError`.
 
@@ -22,12 +26,16 @@ Layout::
 from __future__ import annotations
 
 import json
-import math
 import pathlib
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass, field
+from typing import IO
+
+import numpy as np
 
 from ...errors import ProvenanceError
-from .records import CandidateEval, DecisionRecord, PredicateEval
+from .ledger import CHUNK, TABLES, Ledger, LedgerView, StringTable
+from .records import DecisionRecord
 
 __all__ = ["PROV_FORMAT", "PROV_VERSION", "ProvArtifact"]
 
@@ -36,54 +44,71 @@ PROV_FORMAT = "repro-prov"
 #: Schema version; bumped on any incompatible layout change.
 PROV_VERSION = 1
 
-_DECISION_STRINGS = ("branch", "action", "reason", "fate", "fate_cause")
-_DECISION_INTS = (
-    "epoch",
-    "partition",
-    "target_sid",
-    "target_dc",
-    "source_sid",
-    "replica_count",
-    "rmin",
-    "holder_dc",
-)
-_DECISION_FLOATS = ("avg_query", "holder_traffic", "unserved", "mean_traffic")
+_INT32 = np.iinfo(np.int32)
 
 
-def _clean(value: float) -> float | None:
-    return float(value) if math.isfinite(value) else None
+def _dumps(value: object) -> str:
+    return json.dumps(value, separators=(",", ":"), allow_nan=False)
 
 
-def _restore(value: object) -> float:
-    return float("nan") if value is None else float(value)
+def _write_list(out: IO[str], chunks: Iterable[list]) -> None:
+    """Write one JSON array from its chunks, as ``json.dumps`` would."""
+    out.write("[")
+    sep = ""
+    for chunk in chunks:
+        if chunk:
+            out.write(sep)
+            out.write(_dumps(chunk)[1:-1])
+            sep = ","
+    out.write("]")
 
 
-class _Interner:
-    """Deterministic string table: first occurrence wins the index."""
-
-    def __init__(self) -> None:
-        self.strings: list[str] = [""]
-        self._index: dict[str, int] = {"": 0}
-
-    def add(self, value: str) -> int:
-        idx = self._index.get(value)
-        if idx is None:
-            idx = len(self.strings)
-            self.strings.append(value)
-            self._index[value] = idx
-        return idx
+def _column(raw: object, where: str, kind: str, canon: np.ndarray) -> np.ndarray:
+    """One validated file column; string ids mapped through ``canon``."""
+    values = np.asarray(raw, dtype=np.float64 if kind == "float" else np.int64)
+    if values.ndim != 1:
+        raise ProvenanceError(f"{where} is not a flat array")
+    if kind == "str":
+        bad = np.flatnonzero((values < 0) | (values >= len(canon)))
+        if bad.size:
+            raise ProvenanceError(
+                f"{where}: string index {values[bad[0]]} outside table of {len(canon)}"
+            )
+        return canon[values]
+    if kind == "flag":
+        return values != 0
+    if kind != "float" and values.size and (
+        values.min() < _INT32.min or values.max() > _INT32.max
+    ):
+        raise ProvenanceError(f"{where}: value outside the int32 range")
+    return values
 
 
 @dataclass(frozen=True)
 class ProvArtifact:
-    """One recorded run's decision ledger + metadata."""
+    """One recorded run's decision ledger + metadata.
 
-    records: tuple[DecisionRecord, ...]
+    ``records`` is a read view over the ledger columns; its
+    :class:`DecisionRecord` items are built when read.  A plain sequence
+    of records is accepted too and is converted to columns.
+    """
+
+    records: Sequence[DecisionRecord]
     meta: dict[str, object] = field(default_factory=dict)
     #: Decision budget the recorder ran with.
     budget: int = 0
     #: ``{epoch: count}`` of no-op decisions compacted away.
     noop_dropped: dict[int, int] = field(default_factory=dict)
+
+    def __post_init__(self) -> None:
+        if not isinstance(self.records, LedgerView):
+            object.__setattr__(
+                self, "records", LedgerView(Ledger.from_records(self.records))
+            )
+
+    @property
+    def _view(self) -> LedgerView:
+        return self.records  # type: ignore[return-value]
 
     # ------------------------------------------------------------------
     @property
@@ -92,76 +117,25 @@ class ProvArtifact:
 
     @property
     def num_actions(self) -> int:
-        return sum(1 for rec in self.records if rec.action != "none")
+        return self._view.num_actions()
 
     @property
     def noop_dropped_total(self) -> int:
         return sum(self.noop_dropped.values())
 
     def partitions(self) -> tuple[int, ...]:
-        return tuple(sorted({rec.partition for rec in self.records}))
+        return self._view.partitions()
 
     def for_partition(
         self, partition: int, epoch: int | None = None
     ) -> tuple[DecisionRecord, ...]:
         """This partition's records in epoch order (optionally one epoch)."""
-        out = [
-            rec
-            for rec in self.records
-            if rec.partition == partition and (epoch is None or rec.epoch == epoch)
-        ]
-        out.sort(key=lambda rec: rec.epoch)
-        return tuple(out)
+        return self._view.for_partition(partition, epoch)
 
     # ------------------------------------------------------------------
     # Serialization
     # ------------------------------------------------------------------
-    def to_dict(self) -> dict[str, object]:
-        interner = _Interner()
-        decisions: dict[str, list[object]] = {
-            name: [] for name in _DECISION_INTS + _DECISION_STRINGS + _DECISION_FLOATS
-        }
-        predicates: dict[str, list[object]] = {
-            "decision": [],
-            "eq": [],
-            "subject": [],
-            "lhs": [],
-            "threshold": [],
-            "passed": [],
-        }
-        candidates: dict[str, list[object]] = {
-            "decision": [],
-            "role": [],
-            "dc": [],
-            "sid": [],
-            "verdict": [],
-            "cause": [],
-            "value": [],
-            "threshold": [],
-        }
-        for row, rec in enumerate(self.records):
-            for name in _DECISION_INTS:
-                decisions[name].append(int(getattr(rec, name)))
-            for name in _DECISION_STRINGS:
-                decisions[name].append(interner.add(str(getattr(rec, name))))
-            for name in _DECISION_FLOATS:
-                decisions[name].append(_clean(getattr(rec, name)))
-            for pred in rec.predicates:
-                predicates["decision"].append(row)
-                predicates["eq"].append(interner.add(pred.eq))
-                predicates["subject"].append(interner.add(pred.subject))
-                predicates["lhs"].append(_clean(pred.lhs))
-                predicates["threshold"].append(_clean(pred.threshold))
-                predicates["passed"].append(1 if pred.passed else 0)
-            for cand in rec.candidates:
-                candidates["decision"].append(row)
-                candidates["role"].append(interner.add(cand.role))
-                candidates["dc"].append(int(cand.dc))
-                candidates["sid"].append(int(cand.sid))
-                candidates["verdict"].append(interner.add(cand.verdict))
-                candidates["cause"].append(interner.add(cand.cause))
-                candidates["value"].append(_clean(cand.value))
-                candidates["threshold"].append(_clean(cand.threshold))
+    def _header(self) -> dict[str, object]:
         return {
             "format": PROV_FORMAT,
             "version": PROV_VERSION,
@@ -171,11 +145,19 @@ class ProvArtifact:
                 str(epoch): int(count)
                 for epoch, count in sorted(self.noop_dropped.items())
             },
-            "strings": interner.strings,
-            "decisions": decisions,
-            "predicates": predicates,
-            "candidates": candidates,
         }
+
+    def to_dict(self) -> dict[str, object]:
+        """The v1 document as plain Python objects (what :meth:`save` writes)."""
+        strings, remap = self._view.file_strings()
+        doc = self._header()
+        doc["strings"] = strings
+        for table, columns in self._view.file_tables(remap):
+            doc[table] = {
+                name: [value for chunk in chunks for value in chunk]
+                for name, chunks in columns
+            }
+        return doc
 
     @classmethod
     def from_dict(cls, raw: object) -> ProvArtifact:
@@ -191,143 +173,38 @@ class ProvArtifact:
                 f"(this build reads version {PROV_VERSION})"
             )
         try:
-            strings = [str(s) for s in raw["strings"]]
-
-            def intern_of(table: str, column: object) -> list[str]:
-                out = []
-                for idx in column:  # type: ignore[attr-defined]
-                    i = int(idx)
-                    if not 0 <= i < len(strings):
+            # File ids -> ids of a fresh table (duplicates merge, "" is 0).
+            strings = StringTable()
+            canon = np.array(
+                [strings.intern(str(s)) for s in raw["strings"]], dtype=np.int64
+            )
+            tables: dict[str, dict[str, np.ndarray]] = {}
+            for table, spec in TABLES.items():
+                raw_table = raw[table]
+                columns = {
+                    name: _column(raw_table[name], f"{table}.{name}", kind, canon)
+                    for name, kind in spec
+                }
+                key = "epoch" if table == "decisions" else "decision"
+                rows = len(columns[key])
+                for name, values in columns.items():
+                    if len(values) != rows:
                         raise ProvenanceError(
-                            f"{table}: string index {i} outside table "
-                            f"of {len(strings)}"
+                            f"{table}.{name} has {len(values)} rows, "
+                            f"{key} column has {rows}"
                         )
-                    out.append(strings[i])
-                return out
-
-            decisions = raw["decisions"]
-            n = len(decisions["epoch"])
-            columns: dict[str, list[object]] = {}
-            for name in _DECISION_INTS:
-                columns[name] = [int(v) for v in decisions[name]]
-            for name in _DECISION_STRINGS:
-                columns[name] = list(intern_of(f"decisions.{name}", decisions[name]))
-            for name in _DECISION_FLOATS:
-                columns[name] = [_restore(v) for v in decisions[name]]
-            for name, values in columns.items():
-                if len(values) != n:
+                tables[table] = columns
+            n = len(tables["decisions"]["epoch"])
+            for table in ("predicates", "candidates"):
+                decision = tables[table]["decision"]
+                bad = np.flatnonzero((decision < 0) | (decision >= n))
+                if bad.size:
                     raise ProvenanceError(
-                        f"decisions.{name} has {len(values)} rows, "
-                        f"epoch column has {n}"
+                        f"{table}: decision index {decision[bad[0]]} outside "
+                        f"the {n}-row decision table"
                     )
-
-            def rows_of(
-                table_name: str, table: dict[str, object], spec: dict[str, str]
-            ) -> list[dict[str, object]]:
-                cols: dict[str, list[object]] = {}
-                for name, kind in spec.items():
-                    column = table[name]
-                    if kind == "int":
-                        cols[name] = [int(v) for v in column]  # type: ignore[union-attr]
-                    elif kind == "float":
-                        cols[name] = [_restore(v) for v in column]  # type: ignore[union-attr]
-                    else:
-                        cols[name] = list(intern_of(f"{table_name}.{name}", column))
-                m = len(cols["decision"])
-                for name, values in cols.items():
-                    if len(values) != m:
-                        raise ProvenanceError(
-                            f"{table_name}.{name} has {len(values)} rows, "
-                            f"decision column has {m}"
-                        )
-                rows = [
-                    {name: cols[name][i] for name in spec} for i in range(m)
-                ]
-                for r in rows:
-                    decision = int(r["decision"])  # type: ignore[arg-type]
-                    if not 0 <= decision < n:
-                        raise ProvenanceError(
-                            f"{table_name}: decision index {decision} outside "
-                            f"the {n}-row decision table"
-                        )
-                return rows
-
-            pred_rows = rows_of(
-                "predicates",
-                raw["predicates"],
-                {
-                    "decision": "int",
-                    "eq": "str",
-                    "subject": "str",
-                    "lhs": "float",
-                    "threshold": "float",
-                    "passed": "int",
-                },
-            )
-            cand_rows = rows_of(
-                "candidates",
-                raw["candidates"],
-                {
-                    "decision": "int",
-                    "role": "str",
-                    "dc": "int",
-                    "sid": "int",
-                    "verdict": "str",
-                    "cause": "str",
-                    "value": "float",
-                    "threshold": "float",
-                },
-            )
-            preds_by_decision: dict[int, list[PredicateEval]] = {}
-            for r in pred_rows:
-                preds_by_decision.setdefault(int(r["decision"]), []).append(  # type: ignore[arg-type]
-                    PredicateEval(
-                        eq=str(r["eq"]),
-                        subject=str(r["subject"]),
-                        lhs=float(r["lhs"]),  # type: ignore[arg-type]
-                        threshold=float(r["threshold"]),  # type: ignore[arg-type]
-                        passed=bool(r["passed"]),
-                    )
-                )
-            cands_by_decision: dict[int, list[CandidateEval]] = {}
-            for r in cand_rows:
-                cands_by_decision.setdefault(int(r["decision"]), []).append(  # type: ignore[arg-type]
-                    CandidateEval(
-                        role=str(r["role"]),
-                        dc=int(r["dc"]),  # type: ignore[arg-type]
-                        sid=int(r["sid"]),  # type: ignore[arg-type]
-                        verdict=str(r["verdict"]),
-                        cause=str(r["cause"]),
-                        value=float(r["value"]),  # type: ignore[arg-type]
-                        threshold=float(r["threshold"]),  # type: ignore[arg-type]
-                    )
-                )
-            records = tuple(
-                DecisionRecord(
-                    epoch=columns["epoch"][i],  # type: ignore[arg-type]
-                    partition=columns["partition"][i],  # type: ignore[arg-type]
-                    branch=columns["branch"][i],  # type: ignore[arg-type]
-                    action=columns["action"][i],  # type: ignore[arg-type]
-                    reason=columns["reason"][i],  # type: ignore[arg-type]
-                    target_sid=columns["target_sid"][i],  # type: ignore[arg-type]
-                    target_dc=columns["target_dc"][i],  # type: ignore[arg-type]
-                    source_sid=columns["source_sid"][i],  # type: ignore[arg-type]
-                    fate=columns["fate"][i],  # type: ignore[arg-type]
-                    fate_cause=columns["fate_cause"][i],  # type: ignore[arg-type]
-                    avg_query=columns["avg_query"][i],  # type: ignore[arg-type]
-                    holder_traffic=columns["holder_traffic"][i],  # type: ignore[arg-type]
-                    unserved=columns["unserved"][i],  # type: ignore[arg-type]
-                    mean_traffic=columns["mean_traffic"][i],  # type: ignore[arg-type]
-                    replica_count=columns["replica_count"][i],  # type: ignore[arg-type]
-                    rmin=columns["rmin"][i],  # type: ignore[arg-type]
-                    holder_dc=columns["holder_dc"][i],  # type: ignore[arg-type]
-                    predicates=tuple(preds_by_decision.get(i, ())),
-                    candidates=tuple(cands_by_decision.get(i, ())),
-                )
-                for i in range(n)
-            )
             return cls(
-                records=records,
+                records=LedgerView(Ledger.from_arrays(strings, tables)),
                 meta=dict(raw.get("meta", {})),
                 budget=int(raw.get("budget", 0)),
                 noop_dropped={
@@ -337,15 +214,31 @@ class ProvArtifact:
             )
         except ProvenanceError:
             raise
-        except (KeyError, TypeError, ValueError, AttributeError) as exc:
+        except (KeyError, TypeError, ValueError, AttributeError, OverflowError) as exc:
             raise ProvenanceError(f"malformed {PROV_FORMAT} artifact: {exc}") from exc
 
     def save(self, path: str | pathlib.Path) -> None:
-        """Write the artifact as compact JSON (still ``jq``-able)."""
-        payload = json.dumps(
-            self.to_dict(), separators=(",", ":"), allow_nan=False
-        )
-        pathlib.Path(path).write_text(payload + "\n")
+        """Write the artifact as compact JSON (still ``jq``-able).
+
+        Streams the document: the header, then every column in chunks of
+        :data:`~repro.obs.provenance.ledger.CHUNK` values.  The bytes
+        equal ``json.dumps(self.to_dict(), separators=(",", ":"),
+        allow_nan=False) + "\\n"``.
+        """
+        head = _dumps(self._header())[:-1]
+        strings, remap = self._view.file_strings()
+        with pathlib.Path(path).open("w") as out:
+            out.write(head + ',"strings":')
+            _write_list(
+                out, (strings[i : i + CHUNK] for i in range(0, len(strings), CHUNK))
+            )
+            for table, columns in self._view.file_tables(remap):
+                out.write(f",{_dumps(table)}:{{")
+                for i, (name, chunks) in enumerate(columns):
+                    out.write(f"{',' if i else ''}{_dumps(name)}:")
+                    _write_list(out, chunks)
+                out.write("}")
+            out.write("}\n")
 
     @classmethod
     def load(cls, path: str | pathlib.Path) -> ProvArtifact:

@@ -4,25 +4,38 @@ The recorder is attached to a policy's decision tree (the RFH tree
 opens a :class:`~repro.obs.provenance.records.DecisionDraft` per
 partition per epoch and closes it with the emitted actions) and to the
 engine's apply phase (:meth:`ProvenanceRecorder.note_fate` stamps each
-action's applied/skipped fate back onto its decision record).  Baseline
+action's applied/skipped fate back onto its decision row).  Baseline
 policies that never open drafts still get minimal synthesized records
 per applied/skipped action, so the lineage guarantee — every trace
 action has a provenance record — holds for every policy.
+
+Rows go straight into the columns of a
+:class:`~repro.obs.provenance.ledger.Ledger`; no record object exists
+while recording.  :attr:`ProvenanceRecorder.records` and
+:meth:`ProvenanceRecorder.artifact` are read views over those columns,
+with records built on demand.
 
 Budget: the ledger keeps at most ``budget`` records.  When the cap is
 exceeded the *oldest no-op* records (``action == "none"`` and
 ``fate == "none"``) are dropped first, deterministically, and the count
 of drops per epoch is kept in :attr:`ProvenanceRecorder.noop_dropped`
 so a reader can tell compaction from absence.  Records that carry an
-action are never dropped.
+action are never dropped.  A record's no-op status is fixed when it is
+sealed (fates only land on records that carry an action), so dropping
+the oldest no-ops once per ``budget // 8`` surplus rows, and once more
+before any read, drops exactly the rows that dropping after every
+append would.
 """
 
 from __future__ import annotations
 
 from typing import Callable, Iterable
 
+import numpy as np
+
 from .artifact import ProvArtifact
-from .records import DecisionDraft, DecisionRecord
+from .ledger import Ledger, LedgerView
+from .records import DecisionDraft
 
 __all__ = ["DEFAULT_BUDGET", "ProvenanceRecorder"]
 
@@ -42,16 +55,20 @@ def _action_fields(action: object) -> tuple[str, str, int, int]:
 
 
 class ProvenanceRecorder:
-    """Accumulates :class:`DecisionRecord` rows across a run."""
+    """Accumulates decision rows across a run."""
 
     def __init__(self, budget: int = DEFAULT_BUDGET) -> None:
         if budget < 1:
             raise ValueError(f"provenance budget must be >= 1, got {budget}")
         self.budget = int(budget)
         self.meta: dict[str, object] = {}
-        self._records: list[DecisionRecord] = []
+        self._ledger = Ledger()
+        #: No-op rows currently in the ledger.
+        self._noops = 0
+        #: Surplus of droppable rows that triggers a compaction.
+        self._slack = max(1, self.budget // 8)
         self._noop_dropped: dict[int, int] = {}
-        # FIFO of record indices awaiting a fate, keyed by (partition,
+        # FIFO of ledger rows awaiting a fate, keyed by (partition,
         # action kind); valid for the current epoch only.
         self._pending: dict[tuple[int, str], list[int]] = {}
         self._pending_epoch = -1
@@ -93,38 +110,38 @@ class ProvenanceRecorder:
         *,
         dc_of: Callable[[int], int] | None = None,
     ) -> None:
-        """Seal a draft into a record, registering its actions for fate.
+        """Seal a draft into a ledger row, registering its action for fate.
 
         ``dc_of`` (sid -> datacenter index) resolves the target
         datacenter of the decided action when available.
         """
-        record = DecisionRecord(
-            epoch=draft.epoch,
-            partition=draft.partition,
-            branch=draft.branch,
-            avg_query=draft.avg_query,
-            holder_traffic=draft.holder_traffic,
-            unserved=draft.unserved,
-            mean_traffic=draft.mean_traffic,
-            replica_count=draft.replica_count,
-            rmin=draft.rmin,
-            holder_dc=draft.holder_dc,
-            predicates=tuple(draft.predicates),
-            candidates=tuple(draft.candidates),
-        )
-        index = len(self._records)
+        kind, reason, target_sid, source_sid, target_dc = "none", "", -1, -1, -1
         for action in actions:
             kind, reason, target_sid, source_sid = _action_fields(action)
-            record.action = kind
-            record.reason = reason
-            record.target_sid = target_sid
-            record.source_sid = source_sid
             if dc_of is not None and target_sid >= 0:
-                record.target_dc = int(dc_of(target_sid))
-            self._pending.setdefault((record.partition, kind), []).append(index)
+                target_dc = int(dc_of(target_sid))
             break  # grow XOR shrink: at most one action per partition
-        self._records.append(record)
-        self._compact()
+        row = self._ledger.append(
+            (
+                draft.epoch,
+                draft.partition,
+                target_sid,
+                target_dc,
+                source_sid,
+                draft.replica_count,
+                draft.rmin,
+                draft.holder_dc,
+            ),
+            (draft.branch, kind, reason, "none", ""),
+            (draft.avg_query, draft.holder_traffic, draft.unserved, draft.mean_traffic),
+            draft.predicates,
+            draft.candidates,
+        )
+        if kind == "none":
+            self._noops += 1
+        else:
+            self._pending.setdefault((draft.partition, kind), []).append(row)
+        self._after_append()
 
     # ------------------------------------------------------------------
     # Apply-phase API (called by the engine)
@@ -148,30 +165,19 @@ class ProvenanceRecorder:
         partition = int(getattr(action, "partition", -1))
         queue = self._pending.get((partition, kind))
         if queue:
-            record = self._records[queue.pop(0)]
+            row = queue.pop(0)
             if not queue:
                 del self._pending[(partition, kind)]
-            record.fate = fate
-            record.fate_cause = cause
-            if target_dc >= 0:
-                record.target_dc = int(target_dc)
+            self._ledger.stamp_fate(row, fate, cause, int(target_dc))
             return
         kind2, reason, target_sid, source_sid = _action_fields(action)
-        self._records.append(
-            DecisionRecord(
-                epoch=int(epoch),
-                partition=partition,
-                branch="",
-                action=kind2,
-                reason=reason,
-                target_sid=target_sid,
-                target_dc=int(target_dc),
-                source_sid=source_sid,
-                fate=fate,
-                fate_cause=cause,
-            )
+        nan = float("nan")
+        self._ledger.append(
+            (int(epoch), partition, target_sid, int(target_dc), source_sid, -1, -1, -1),
+            ("", kind2, reason, fate, cause),
+            (nan, nan, nan, nan),
         )
-        self._compact()
+        self._after_append()
 
     # ------------------------------------------------------------------
     def _roll_epoch(self, epoch: int) -> None:
@@ -181,47 +187,42 @@ class ProvenanceRecorder:
             self._pending.clear()
             self._pending_epoch = epoch
 
+    def _after_append(self) -> None:
+        if min(self._noops, len(self._ledger) - self.budget) >= self._slack:
+            self._compact()
+
     def _compact(self) -> None:
-        overage = len(self._records) - self.budget
-        if overage <= 0:
+        """Drop the oldest no-op rows until the ledger fits its budget or
+        no no-op row is left."""
+        drop = min(self._noops, len(self._ledger) - self.budget)
+        if drop <= 0:
             return
-        kept: list[DecisionRecord] = []
-        for rec in self._records:
-            if overage > 0 and rec.is_noop:
-                self._noop_dropped[rec.epoch] = self._noop_dropped.get(rec.epoch, 0) + 1
-                overage -= 1
-            else:
-                kept.append(rec)
-        # Indices in the pending map are invalidated by compaction; remap
-        # by identity so in-flight fates still land on the right record.
-        if self._pending:
-            position = {id(rec): i for i, rec in enumerate(kept)}
-            for key, queue in list(self._pending.items()):
-                remapped = [
-                    position[id(self._records[i])]
-                    for i in queue
-                    if id(self._records[i]) in position
-                ]
-                if remapped:
-                    self._pending[key] = remapped
-                else:
-                    del self._pending[key]
-        self._records = kept
+        rows = self._ledger.noop_rows()[:drop]
+        epochs = self._ledger.column("decisions", "epoch")[rows]
+        for epoch, count in zip(*np.unique(epochs, return_counts=True)):
+            self._noop_dropped[int(epoch)] = self._noop_dropped.get(int(epoch), 0) + int(count)
+        self._ledger, new_row = self._ledger.dropping(rows)
+        self._noops -= drop
+        # Pending rows carry actions, so none was dropped; renumber them.
+        for queue in self._pending.values():
+            queue[:] = new_row[queue].tolist()
 
     # ------------------------------------------------------------------
     @property
-    def records(self) -> tuple[DecisionRecord, ...]:
-        return tuple(self._records)
+    def records(self) -> LedgerView:
+        """The ledger so far, as records built on demand."""
+        self._compact()
+        return LedgerView(self._ledger)
 
     @property
     def noop_dropped(self) -> dict[int, int]:
+        self._compact()
         return dict(self._noop_dropped)
 
     def artifact(self) -> ProvArtifact:
-        """Freeze the ledger into a saveable artifact."""
-        self._compact()
+        """Freeze the ledger into a saveable artifact (a view, not a copy)."""
         return ProvArtifact(
-            records=tuple(self._records),
+            records=self.records,
             meta=dict(self.meta),
             budget=self.budget,
             noop_dropped=dict(self._noop_dropped),

@@ -1,13 +1,17 @@
 """The decision-provenance record vocabulary.
 
-One :class:`DecisionRecord` is produced per partition per epoch while a
-:class:`~repro.obs.provenance.recorder.ProvenanceRecorder` is attached:
-the Fig. 2 tree's threshold predicates (Eqs. 12/13/15/16 plus the
-engine-specific gates) as :class:`PredicateEval` rows, the candidate
+A :class:`DecisionRecord` describes one partition's Fig. 2 evaluation
+for one epoch: the tree's threshold predicates (Eqs. 12/13/15/16 plus
+the engine-specific gates) as :class:`PredicateEval` rows, the candidate
 set (hub datacenters, suicide candidates, placement targets) as
-:class:`CandidateEval` rows, the chosen action with its reason, and —
-filled in later by the engine's apply phase — the action's fate
-(applied or skipped, and by which gate).
+:class:`CandidateEval` rows, the chosen action with its reason, and the
+action's fate (applied or skipped, and by which gate), which the
+engine's apply phase reports two phases later.
+
+The ledger itself is columnar (:mod:`~repro.obs.provenance.ledger`):
+records are read views, built on demand when a reader asks for them.
+While recording, the decision tree writes plain tuples into a
+:class:`DecisionDraft` and the recorder appends them to the columns.
 
 ``eq`` tags are a closed vocabulary (:data:`EQ_TAGS`); the explain
 renderer maps them to the paper's notation (``tr_iit``, ``β·q̄``, ...).
@@ -103,8 +107,9 @@ class CandidateEval:
 class DecisionRecord:
     """One partition's Fig. 2 evaluation for one epoch.
 
-    Mutable only in its ``fate``/``fate_cause`` fields, which the engine
-    sets during the apply phase (the decision happens in the observe
+    A read view: the ledger builds one from its columns when a reader
+    asks, so changing it does not change the ledger.  The fate comes
+    from the engine's apply phase (the decision happens in the observe
     phase, its fate two phases later).
     """
 
@@ -139,8 +144,10 @@ class DecisionRecord:
 class DecisionDraft:
     """Mutable accumulator the decision tree writes into.
 
-    Only exists while a recorder is attached; the recorder turns it
-    into a :class:`DecisionRecord` at the end of ``decide_partition``.
+    Only exists while a recorder is attached; the recorder appends it
+    to the ledger's columns at the end of ``decide_partition``.
+    Predicates and candidates are kept as plain tuples in their ledger
+    table's column order.
     """
 
     epoch: int
@@ -153,21 +160,17 @@ class DecisionDraft:
     rmin: int
     holder_dc: int
     branch: str = "none"
-    predicates: list[PredicateEval] = field(default_factory=list)
-    candidates: list[CandidateEval] = field(default_factory=list)
+    #: ``(eq, subject, lhs, threshold, passed)`` rows.
+    predicates: list[tuple[str, str, float, float, bool]] = field(default_factory=list)
+    #: ``(role, dc, sid, verdict, cause, value, threshold)`` rows.
+    candidates: list[tuple[str, int, int, str, str, float, float]] = field(
+        default_factory=list
+    )
 
     def predicate(
         self, eq: str, subject: str, lhs: float, threshold: float, passed: bool
     ) -> None:
-        self.predicates.append(
-            PredicateEval(
-                eq=eq,
-                subject=subject,
-                lhs=float(lhs),
-                threshold=float(threshold),
-                passed=bool(passed),
-            )
-        )
+        self.predicates.append((eq, subject, float(lhs), float(threshold), bool(passed)))
 
     def candidate(
         self,
@@ -181,15 +184,7 @@ class DecisionDraft:
         threshold: float = float("nan"),
     ) -> None:
         self.candidates.append(
-            CandidateEval(
-                role=role,
-                dc=int(dc),
-                sid=int(sid),
-                verdict=verdict,
-                cause=cause,
-                value=float(value),
-                threshold=float(threshold),
-            )
+            (role, int(dc), int(sid), verdict, cause, float(value), float(threshold))
         )
 
     def resolve_candidate(self, role: str, dc: int, verdict: str, cause: str) -> None:
@@ -200,16 +195,8 @@ class DecisionDraft:
         replica).  A (role, dc) that was never noted is appended instead
         so the ledger never silently drops an outcome.
         """
-        for i, cand in enumerate(self.candidates):
-            if cand.role == role and cand.dc == dc:
-                self.candidates[i] = CandidateEval(
-                    role=cand.role,
-                    dc=cand.dc,
-                    sid=cand.sid,
-                    verdict=verdict,
-                    cause=cause,
-                    value=cand.value,
-                    threshold=cand.threshold,
-                )
+        for i, (c_role, c_dc, sid, _, _, value, threshold) in enumerate(self.candidates):
+            if c_role == role and c_dc == dc:
+                self.candidates[i] = (role, c_dc, sid, verdict, cause, value, threshold)
                 return
         self.candidate(role, dc, verdict=verdict, cause=cause)

@@ -2,37 +2,249 @@
 artifact, trace cross-check and the shared artifact-path helpers
 (``repro.obs.provenance`` / ``repro.obs.paths``)."""
 
+import dataclasses
+import gc
 import json
 import math
+import random
+import tracemalloc
 
+import hypothesis.strategies as st
 import pytest
+from hypothesis import given, settings
 
 from repro.config import SimulationConfig
 from repro.errors import ProvenanceError
 from repro.experiments.comparison import POLICIES, compare_policies
 from repro.experiments.runner import run_experiment
-from repro.experiments.scenarios import random_query_scenario
+from repro.experiments.scenarios import (
+    chaos_schedule,
+    failure_recovery_scenario,
+    random_query_scenario,
+)
 from repro.obs.paths import derived_path, split_suffix, tagged_path
 from repro.obs.provenance import (
+    DEFAULT_BUDGET,
+    CandidateEval,
+    DecisionDraft,
+    DecisionRecord,
+    PredicateEval,
     ProvArtifact,
     ProvenanceRecorder,
     crosscheck_trace,
     diff_provenance,
 )
+from repro.obs.provenance.recorder import _action_fields
 from repro.obs.trace import RingBufferTracer
 from repro.sim import reasons
 from repro.sim.actions import Replicate, Suicide
 
 
-def _scenario(epochs=12, partitions=16):
+def _config(partitions=16):
     config = SimulationConfig()
-    import dataclasses
-
-    config = dataclasses.replace(
+    return dataclasses.replace(
         config,
         workload=dataclasses.replace(config.workload, num_partitions=partitions),
     )
-    return random_query_scenario(config, epochs=epochs)
+
+
+def _scenario(epochs=12, partitions=16):
+    return random_query_scenario(_config(partitions), epochs=epochs)
+
+
+def _chaos_scenario(epochs=40, partitions=16):
+    """Server failures plus a WAN partition: skipped fates, restores."""
+    scenario = failure_recovery_scenario(_config(partitions), epochs=epochs)
+    return dataclasses.replace(scenario, chaos=chaos_schedule("wan-partition", epochs))
+
+
+# ----------------------------------------------------------------------
+# Reference implementations: the record-based recorder and writer that
+# the columnar ledger replaced.  The ledger must match them exactly.
+# ----------------------------------------------------------------------
+class _ReferenceRecorder:
+    """One DecisionRecord per decision in a list; once over budget,
+    every append rescans and rebuilds the whole list."""
+
+    def __init__(self, budget=DEFAULT_BUDGET):
+        self.budget = budget
+        self.meta = {}
+        self.records = []
+        self.noop_dropped = {}
+        self._pending = {}
+        self._pending_epoch = -1
+
+    def open(self, *, epoch, partition, avg_query, holder_traffic, unserved,
+             mean_traffic, replica_count, rmin, holder_dc):
+        self._roll_epoch(epoch)
+        return DecisionDraft(
+            epoch=int(epoch), partition=int(partition), avg_query=float(avg_query),
+            holder_traffic=float(holder_traffic), unserved=float(unserved),
+            mean_traffic=float(mean_traffic), replica_count=int(replica_count),
+            rmin=int(rmin), holder_dc=int(holder_dc),
+        )
+
+    def close(self, draft, actions, *, dc_of=None):
+        record = DecisionRecord(
+            epoch=draft.epoch, partition=draft.partition, branch=draft.branch,
+            avg_query=draft.avg_query, holder_traffic=draft.holder_traffic,
+            unserved=draft.unserved, mean_traffic=draft.mean_traffic,
+            replica_count=draft.replica_count, rmin=draft.rmin,
+            holder_dc=draft.holder_dc,
+            predicates=tuple(PredicateEval(*row) for row in draft.predicates),
+            candidates=tuple(CandidateEval(*row) for row in draft.candidates),
+        )
+        index = len(self.records)
+        for action in actions:
+            kind, reason, target_sid, source_sid = _action_fields(action)
+            record.action, record.reason = kind, reason
+            record.target_sid, record.source_sid = target_sid, source_sid
+            if dc_of is not None and target_sid >= 0:
+                record.target_dc = int(dc_of(target_sid))
+            self._pending.setdefault((record.partition, kind), []).append(index)
+            break
+        self.records.append(record)
+        self._compact()
+
+    def note_fate(self, epoch, kind, action, fate, cause="", target_dc=-1):
+        self._roll_epoch(epoch)
+        partition = int(getattr(action, "partition", -1))
+        queue = self._pending.get((partition, kind))
+        if queue:
+            record = self.records[queue.pop(0)]
+            if not queue:
+                del self._pending[(partition, kind)]
+            record.fate, record.fate_cause = fate, cause
+            if target_dc >= 0:
+                record.target_dc = int(target_dc)
+            return
+        kind2, reason, target_sid, source_sid = _action_fields(action)
+        self.records.append(
+            DecisionRecord(
+                epoch=int(epoch), partition=partition, branch="", action=kind2,
+                reason=reason, target_sid=target_sid, target_dc=int(target_dc),
+                source_sid=source_sid, fate=fate, fate_cause=cause,
+            )
+        )
+        self._compact()
+
+    def _roll_epoch(self, epoch):
+        if epoch != self._pending_epoch:
+            self._pending.clear()
+            self._pending_epoch = epoch
+
+    def _compact(self):
+        overage = len(self.records) - self.budget
+        if overage <= 0:
+            return
+        kept = []
+        for rec in self.records:
+            if overage > 0 and rec.is_noop:
+                self.noop_dropped[rec.epoch] = self.noop_dropped.get(rec.epoch, 0) + 1
+                overage -= 1
+            else:
+                kept.append(rec)
+        position = {id(rec): i for i, rec in enumerate(kept)}
+        for key, queue in list(self._pending.items()):
+            remapped = [
+                position[id(self.records[i])]
+                for i in queue
+                if id(self.records[i]) in position
+            ]
+            if remapped:
+                self._pending[key] = remapped
+            else:
+                del self._pending[key]
+        self.records = kept
+
+    def document(self):
+        """The v1 document, flattened record by record."""
+        strings, index = [""], {"": 0}
+
+        def intern(value):
+            if value not in index:
+                index[value] = len(strings)
+                strings.append(value)
+            return index[value]
+
+        def clean(value):
+            return float(value) if math.isfinite(value) else None
+
+        ints = ("epoch", "partition", "target_sid", "target_dc", "source_sid",
+                "replica_count", "rmin", "holder_dc")
+        texts = ("branch", "action", "reason", "fate", "fate_cause")
+        floats = ("avg_query", "holder_traffic", "unserved", "mean_traffic")
+        decisions = {name: [] for name in ints + texts + floats}
+        predicates = {name: [] for name in
+                      ("decision", "eq", "subject", "lhs", "threshold", "passed")}
+        candidates = {name: [] for name in ("decision", "role", "dc", "sid",
+                                            "verdict", "cause", "value", "threshold")}
+        for row, rec in enumerate(self.records):
+            for name in ints:
+                decisions[name].append(int(getattr(rec, name)))
+            for name in texts:
+                decisions[name].append(intern(str(getattr(rec, name))))
+            for name in floats:
+                decisions[name].append(clean(getattr(rec, name)))
+            for pred in rec.predicates:
+                predicates["decision"].append(row)
+                predicates["eq"].append(intern(pred.eq))
+                predicates["subject"].append(intern(pred.subject))
+                predicates["lhs"].append(clean(pred.lhs))
+                predicates["threshold"].append(clean(pred.threshold))
+                predicates["passed"].append(1 if pred.passed else 0)
+            for cand in rec.candidates:
+                candidates["decision"].append(row)
+                candidates["role"].append(intern(cand.role))
+                candidates["dc"].append(int(cand.dc))
+                candidates["sid"].append(int(cand.sid))
+                candidates["verdict"].append(intern(cand.verdict))
+                candidates["cause"].append(intern(cand.cause))
+                candidates["value"].append(clean(cand.value))
+                candidates["threshold"].append(clean(cand.threshold))
+        return {
+            "format": "repro-prov",
+            "version": 1,
+            "meta": dict(self.meta),
+            "budget": int(self.budget),
+            "noop_dropped": {
+                str(epoch): int(count)
+                for epoch, count in sorted(self.noop_dropped.items())
+            },
+            "strings": strings,
+            "decisions": decisions,
+            "predicates": predicates,
+            "candidates": candidates,
+        }
+
+    def file_bytes(self):
+        payload = json.dumps(self.document(), separators=(",", ":"), allow_nan=False)
+        return (payload + "\n").encode()
+
+
+def _paired_run(policy="rfh", scenario=None, engine="scalar", budget=DEFAULT_BUDGET):
+    """The same run recorded by the columnar ledger and by the reference."""
+    recorders = ProvenanceRecorder(budget=budget), _ReferenceRecorder(budget=budget)
+    for recorder in recorders:
+        run_experiment(
+            policy, scenario or _scenario(), provenance=recorder, engine=engine
+        )
+    return recorders
+
+
+def _saved_bytes(recorder, tmp_path):
+    path = tmp_path / "ledger.prov.json"
+    recorder.artifact().save(path)
+    return path.read_bytes()
+
+
+def _context(**overrides):
+    context = dict(
+        avg_query=1.0, holder_traffic=2.0, unserved=0.0, mean_traffic=1.0,
+        replica_count=2, rmin=2, holder_dc=0,
+    )
+    context.update(overrides)
+    return context
 
 
 def _recorded_run(epochs=12, policy="rfh", tracer=None, budget=None):
@@ -191,6 +403,35 @@ class TestArtifact:
         with pytest.raises(ProvenanceError):
             ProvArtifact.load(path)
 
+    @pytest.mark.parametrize(
+        "table,column,corrupt",
+        [
+            ("decisions", "reason", lambda col, n: col[:-1]),
+            ("predicates", "decision", lambda col, n: [n] + col[1:]),
+            ("candidates", "sid", lambda col, n: ["x"] + col[1:]),
+            ("candidates", "dc", lambda col, n: [2**40] + col[1:]),
+            ("predicates", "lhs", lambda col, n: [[1.0]] * len(col)),
+            ("candidates", "role", lambda col, n: None),
+        ],
+    )
+    def test_load_rejects_malformed_columns(self, table, column, corrupt):
+        recorder, _ = _recorded_run(epochs=4)
+        payload = recorder.artifact().to_dict()
+        n = len(payload["decisions"]["epoch"])
+        payload[table][column] = corrupt(payload[table][column], n)
+        with pytest.raises(ProvenanceError):
+            ProvArtifact.from_dict(json.loads(json.dumps(payload)))
+
+    def test_load_accepts_child_rows_out_of_decision_order(self):
+        # Reverse the predicate blocks, keeping each decision's own order;
+        # loading puts them back, so a save reproduces the original.
+        recorder, _ = _recorded_run(epochs=4)
+        payload = recorder.artifact().to_dict()
+        table = payload["predicates"]
+        order = sorted(range(len(table["decision"])), key=lambda i: -table["decision"][i])
+        shuffled = dict(payload, predicates={k: [v[i] for i in order] for k, v in table.items()})
+        assert ProvArtifact.from_dict(shuffled).to_dict() == payload
+
     def test_missing_file_raises_provenance_error(self, tmp_path):
         with pytest.raises(ProvenanceError):
             ProvArtifact.load(tmp_path / "nope.prov.json")
@@ -205,6 +446,234 @@ class TestArtifact:
         assert rows and all(r.partition == some for r in rows)
         one_epoch = artifact.for_partition(some, epoch=rows[0].epoch)
         assert one_epoch and all(r.epoch == rows[0].epoch for r in one_epoch)
+
+
+# ----------------------------------------------------------------------
+# Streamed save: byte-identical to the record-based writer
+# ----------------------------------------------------------------------
+class TestStreamedSave:
+    @pytest.mark.parametrize(
+        "policy,scenario,engine,budget",
+        [
+            pytest.param("rfh", None, "scalar", DEFAULT_BUDGET, id="rfh-scalar"),
+            pytest.param("rfh", None, "columnar", DEFAULT_BUDGET, id="rfh-columnar"),
+            pytest.param("rfh", _chaos_scenario(), "scalar", DEFAULT_BUDGET, id="chaos"),
+            pytest.param("random", None, "scalar", DEFAULT_BUDGET, id="baseline"),
+            pytest.param("rfh", None, "scalar", 50, id="compacted"),
+        ],
+    )
+    def test_save_matches_record_based_writer(
+        self, tmp_path, policy, scenario, engine, budget
+    ):
+        recorder, reference = _paired_run(policy, scenario, engine, budget)
+        assert recorder.artifact().num_decisions == len(reference.records)
+        assert _saved_bytes(recorder, tmp_path) == reference.file_bytes()
+        assert recorder.artifact().to_dict() == reference.document()
+        if budget < DEFAULT_BUDGET:
+            assert recorder.noop_dropped == reference.noop_dropped != {}
+
+    def test_nan_and_infinite_terms_save_as_null(self, tmp_path):
+        inf, nan = float("inf"), float("nan")
+        recorders = ProvenanceRecorder(), _ReferenceRecorder()
+        for rec in recorders:
+            draft = rec.open(
+                epoch=0, partition=1,
+                **_context(avg_query=nan, holder_traffic=inf, unserved=-inf),
+            )
+            draft.predicate("eq12", "server:3", nan, inf, False)
+            draft.candidate("hub", 2, value=-inf, threshold=0.5)
+            rec.close(draft, [])
+            rec.note_fate(0, "suicide", Suicide(4, 9, reason=reasons.COLD_REPLICA), "applied")
+        recorder, reference = recorders
+        saved = _saved_bytes(recorder, tmp_path)
+        assert saved == reference.file_bytes()
+        assert json.loads(saved)["decisions"]["holder_traffic"] == [None, None]
+
+    def test_late_fate_string_is_numbered_before_a_later_rows_subject(self, tmp_path):
+        # Row 0 decides, row 1 introduces the subject "server:77", and only
+        # then does row 0's fate arrive with two new strings.  v1 numbers
+        # strings by first use record by record, so the fate strings (row
+        # 0) come before the subject (row 1), though recorded after it.
+        action = Replicate(0, 1, 5, reason=reasons.AVAILABILITY)
+        recorders = ProvenanceRecorder(), _ReferenceRecorder()
+        for rec in recorders:
+            first = rec.open(epoch=0, partition=0, **_context())
+            first.predicate("eq14", "partition:0", 1, 2, False)
+            rec.close(first, [action])
+            second = rec.open(epoch=0, partition=1, **_context())
+            second.predicate("eq12", "server:77", 3.0, 2.0, True)
+            rec.close(second, [])
+            rec.note_fate(0, "replicate", action, "skipped", cause=reasons.SKIP_BANDWIDTH)
+        recorder, reference = recorders
+        saved = _saved_bytes(recorder, tmp_path)
+        assert saved == reference.file_bytes()
+        strings = json.loads(saved)["strings"]
+        assert strings.index("skipped") < strings.index("server:77")
+        assert strings.index(reasons.SKIP_BANDWIDTH) < strings.index("server:77")
+
+
+# ----------------------------------------------------------------------
+# Batched budget compaction: the same rows as compacting per append
+# ----------------------------------------------------------------------
+def _action_for(kind, partition):
+    if kind == "replicate":
+        return Replicate(partition, 0, 5, reason=reasons.AVAILABILITY)
+    return Suicide(partition, 7, reason=reasons.COLD_REPLICA)
+
+
+def _apply(recorder, step, epoch):
+    if step[0] == "seal":
+        _, partition, kind, n_pred, n_cand = step
+        draft = recorder.open(epoch=epoch, partition=partition, **_context())
+        for i in range(n_pred):
+            draft.predicate("eq12", f"server:{partition + i}", i, 1.0, i > 0)
+        for i in range(n_cand):
+            draft.candidate("hub", i, cause=f"c{partition}", value=float(i))
+        recorder.close(draft, [_action_for(kind, partition)] if kind else [])
+    else:
+        _, partition, kind, fate = step
+        cause = reasons.SKIP_STORAGE_GATE if fate == "skipped" else ""
+        recorder.note_fate(epoch, kind, _action_for(kind, partition), fate, cause=cause)
+
+
+def _assert_matches(recorder, reference):
+    assert recorder.artifact().to_dict() == reference.document()
+    assert recorder.noop_dropped == reference.noop_dropped
+
+
+_STEPS = st.lists(
+    st.one_of(
+        st.tuples(
+            st.just("seal"),
+            st.integers(0, 3),
+            st.sampled_from((None, None, "replicate", "suicide")),
+            st.integers(0, 2),
+            st.integers(0, 2),
+        ),
+        st.tuples(
+            st.just("fate"),
+            st.integers(0, 3),
+            st.sampled_from(("replicate", "suicide")),
+            st.sampled_from(("applied", "skipped")),
+        ),
+        st.tuples(st.just("roll")),
+        st.tuples(st.just("read")),
+    ),
+    max_size=120,
+)
+
+
+def _replay(budget, steps, eager):
+    """Drive a reference, a recorder read after every step (if
+    ``eager``) and one read only at ``read`` steps and the end."""
+    reference = _ReferenceRecorder(budget)
+    lazy = ProvenanceRecorder(budget)
+    recorders = (lazy, ProvenanceRecorder(budget)) if eager else (lazy,)
+    epoch = 0
+    for step in steps:
+        if step[0] == "roll":
+            epoch += 1
+        elif step[0] == "read":
+            _assert_matches(lazy, reference)
+        else:
+            for rec in (reference, *recorders):
+                _apply(rec, step, epoch)
+        if eager:
+            _assert_matches(recorders[1], reference)
+    _assert_matches(lazy, reference)
+
+
+class TestBatchedCompaction:
+    @given(budget=st.integers(1, 20), steps=_STEPS)
+    @settings(max_examples=60, deadline=None)
+    def test_matches_per_append_compaction(self, budget, steps):
+        _replay(budget, steps, eager=True)
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_long_run_over_a_larger_budget(self, seed):
+        # Budget 48 compacts in batches of 6: exercises pending-row
+        # renumbering across several batches within one epoch.
+        rng = random.Random(seed)
+        steps = []
+        for _ in range(900):
+            roll = rng.random()
+            if roll < 0.6:
+                kind = rng.choice((None, None, None, "replicate", "suicide"))
+                steps.append(("seal", rng.randrange(6), kind, rng.randrange(3), rng.randrange(3)))
+            elif roll < 0.85:
+                kind = rng.choice(("replicate", "suicide"))
+                steps.append(("fate", rng.randrange(6), kind, rng.choice(("applied", "skipped"))))
+            elif roll < 0.95:
+                steps.append(("roll",))
+            else:
+                steps.append(("read",))
+        _replay(48, steps, eager=False)
+
+
+# ----------------------------------------------------------------------
+# Snapshots and the memory budget
+# ----------------------------------------------------------------------
+class TestSnapshotAndMemory:
+    def test_artifact_keeps_its_view_across_later_epochs_and_compaction(self, tmp_path):
+        recorder = ProvenanceRecorder(budget=16)
+
+        def record_epoch(epoch):
+            for partition in range(12):
+                draft = recorder.open(epoch=epoch, partition=partition, **_context())
+                draft.predicate("eq14", f"partition:{partition}", 2, 2, True)
+                hot = partition % 4 == 0
+                recorder.close(draft, [_action_for("replicate", partition)] if hot else [])
+            for partition in range(0, 12, 4):
+                recorder.note_fate(
+                    epoch, "replicate", _action_for("replicate", partition),
+                    "applied", target_dc=epoch,
+                )
+
+        record_epoch(0)
+        artifact = recorder.artifact()
+        before = _saved_bytes(recorder, tmp_path)
+        assert artifact.num_decisions == 12
+        record_epoch(1)
+        assert recorder.noop_dropped  # the second epoch compacted
+        assert max(rec.epoch for rec in recorder.records) == 1
+        assert artifact.num_decisions == 12
+        path = tmp_path / "snapshot.prov.json"
+        artifact.save(path)
+        assert path.read_bytes() == before
+
+    def test_ledger_and_save_stay_within_the_memory_budget(self, tmp_path):
+        # 16 partitions x 100 epochs of failures and a WAN partition; the
+        # columnar engine keeps the traced runs short.
+        scenario = _chaos_scenario(epochs=100)
+        run_experiment(
+            "rfh", _chaos_scenario(epochs=5), provenance=ProvenanceRecorder(),
+            engine="columnar",
+        )
+        gc.collect()
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            run_experiment("rfh", scenario, engine="columnar")
+            gc.collect()
+            bare = tracemalloc.get_traced_memory()[0] - start
+            recorder = ProvenanceRecorder()
+            start = tracemalloc.get_traced_memory()[0]
+            run_experiment("rfh", scenario, provenance=recorder, engine="columnar")
+            gc.collect()
+            recorded = tracemalloc.get_traced_memory()[0] - start
+            path = tmp_path / "chaos.prov.json"
+            tracemalloc.reset_peak()
+            start = tracemalloc.get_traced_memory()[0]
+            recorder.artifact().save(path)
+            save_peak = tracemalloc.get_traced_memory()[1] - start
+        finally:
+            tracemalloc.stop()
+        decisions = ProvArtifact.load(path).num_decisions
+        assert decisions >= 1500
+        per_decision = (recorded - bare) / decisions
+        assert per_decision <= 1000, f"{per_decision:.0f} B retained per decision"
+        size = path.stat().st_size
+        assert save_peak <= 1.5 * size, f"save peaked at {save_peak / size:.2f}x the file"
 
 
 # ----------------------------------------------------------------------
