@@ -20,7 +20,7 @@ from .decision import (
     SUICIDE_IDLE_BAR,
     RFHDecision,
 )
-from .smoothing import Ewma
+from .smoothing import Ewma, ewma_update_rows
 from .thresholds import UNSERVED_TOLERANCE
 from .traffic import _null_span
 
@@ -66,15 +66,13 @@ class RFHPolicy:
         self._unserved = Ewma(self._params.alpha)  # blocked-query signal
         # The two matrix-shaped EWMAs — Eq. 11's (partition, dc) traffic
         # and the per-(partition, server) served signal — are kept by
-        # hand: updated in place with a reused scratch buffer (the same
+        # hand: updated in place by :func:`ewma_update_rows` (the same
         # per-element multiply/add sequence :class:`Ewma` performs, so
         # values stay bit-identical) because at scale the defensive
         # copies would dominate the epoch.  The server axis can also
         # grow when nodes join mid-run.
         self._traffic: np.ndarray | None = None  # Eq. 11, per (partition, dc)
-        self._traffic_scratch: np.ndarray | None = None
         self._served: np.ndarray | None = None
-        self._served_scratch: np.ndarray | None = None
         # Birth epoch of replicas this policy created, for the suicide
         # warm-up exemption, indexed partition → {sid: epoch} so the age
         # view can be built only for the partitions under evaluation.
@@ -253,43 +251,19 @@ class RFHPolicy:
                     by_sid.pop(action.sid, None)
 
     def _update_traffic(self, raw: np.ndarray) -> np.ndarray:
-        """EWMA of the (P, D) traffic matrix (Eq. 11), in place.
-
-        Per element this performs ``(1 - α)·old``, ``α·raw``, then their
-        sum — the exact operation sequence :class:`Ewma` runs — with the
-        products written into reused buffers instead of fresh ones.
-        """
-        alpha = self._params.alpha
+        """EWMA of the (P, D) traffic matrix (Eq. 11), in place."""
         if self._traffic is None:
             self._traffic = raw.astype(np.float64, copy=True)
-            self._traffic_scratch = np.empty_like(self._traffic)
-        else:
-            scratch = self._traffic_scratch
-            assert scratch is not None
-            np.multiply(self._traffic, 1.0 - alpha, out=self._traffic)
-            np.multiply(raw, alpha, out=scratch)
-            self._traffic += scratch
-        return self._traffic
+            return self._traffic
+        return ewma_update_rows(self._traffic, raw, self._params.alpha)
 
     def _update_served(self, raw: np.ndarray) -> np.ndarray:
-        """EWMA of the (P, S) served matrix, padding on server growth.
-
-        In place with a scratch buffer, same element sequence as
-        :meth:`_update_traffic`.
-        """
-        alpha = self._params.alpha
-        if self._served is None or raw.shape[1] > self._served.shape[1]:
-            if self._served is None:
-                self._served = raw.astype(np.float64, copy=True)
-                self._served_scratch = np.empty_like(self._served)
-                return self._served
+        """EWMA of the (P, S) served matrix, padding on server growth."""
+        if self._served is None:
+            self._served = raw.astype(np.float64, copy=True)
+            return self._served
+        if raw.shape[1] > self._served.shape[1]:
             grown = np.zeros_like(raw, dtype=np.float64)
             grown[:, : self._served.shape[1]] = self._served
             self._served = grown
-            self._served_scratch = np.empty_like(grown)
-        scratch = self._served_scratch
-        assert scratch is not None
-        np.multiply(self._served, 1.0 - alpha, out=self._served)
-        np.multiply(raw, alpha, out=scratch)
-        self._served += scratch
-        return self._served
+        return ewma_update_rows(self._served, raw, self._params.alpha)

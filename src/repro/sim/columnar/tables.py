@@ -17,6 +17,10 @@ distance matrix, so it holds the very floats ``distance_km`` returns.
 ``miss`` evaluates :meth:`LatencyModel.response_ms` elementwise with the
 same float operations in the same order, so every flag equals the
 scalar comparison — table lookups cannot introduce rounding differences.
+
+The kernel's Python tail walk reads routes as lists; :meth:`route_row`
+builds that list form per route on first use, since a run walks only a
+fraction of the D² routes (about a fifth at 100 sites).
 """
 
 from __future__ import annotations
@@ -41,7 +45,7 @@ class RouterTables:
         "max_len",
         "origin_start",
         "level0_stats_free",
-        "rows3",
+        "_route_rows",
     )
 
     def __init__(self, router: Router, latency: LatencyModel) -> None:
@@ -80,13 +84,26 @@ class RouterTables:
         self.level0_stats_free = bool(
             (self.km[:, :, 0] == 0.0).all()  # repro: noqa[REP004]
         ) and not bool(self.miss[:, :, 0].any())
-        # Python-list mirror for the kernel's tail walk: ``rows3[o][h]``
-        # bundles one route's path, km and miss rows so the walk fetches
-        # them with a single lookup.  The lists hold the same
-        # float64/bool/int values the arrays do, so reads are identical.
-        self.rows3: list[list[tuple[list[int], list[float], list[bool]]]] = [
-            list(zip(path_o, km_o, miss_o))
-            for path_o, km_o, miss_o in zip(
-                self.path.tolist(), self.km.tolist(), self.miss.tolist()
+        # (origin, holder_dc) -> route_row() result, filled on demand.
+        self._route_rows: dict[
+            tuple[int, int], tuple[list[int], list[float], list[bool]]
+        ] = {}
+
+    def route_row(
+        self, origin: int, holder_dc: int
+    ) -> tuple[list[int], list[float], list[bool]]:
+        """The ``(path, km, miss)`` rows of route ``origin → holder_dc``
+        as Python lists, built on the first call and cached.
+
+        The lists hold the same int64/float64/bool values the arrays do,
+        so the tail walk's reads are identical to array reads.
+        """
+        row = self._route_rows.get((origin, holder_dc))
+        if row is None:
+            row = (
+                self.path[origin, holder_dc].tolist(),
+                self.km[origin, holder_dc].tolist(),
+                self.miss[origin, holder_dc].tolist(),
             )
-        ]
+            self._route_rows[(origin, holder_dc)] = row
+        return row

@@ -47,6 +47,7 @@ from ..cluster.replicas import ReplicaMap
 from ..config import SimulationConfig
 from ..core.availability import min_replicas_for_availability
 from ..core.blocking import server_blocking_probabilities
+from ..core.smoothing import ewma_update_rows
 from ..core.traffic import ServiceResult, serve_epoch
 from ..errors import ActionError, SimulationError
 from ..geo.hierarchy import GeoHierarchy, build_default_hierarchy
@@ -423,6 +424,9 @@ class Simulation:
             restored = self._apply_due_events(epoch)
             self.cluster.reset_epoch_budgets()
 
+        # Drop the previous epoch's result before this one's matrices are
+        # allocated; ``last_result`` holds the new one once serve is done.
+        self.last_result = None
         with profiler.phase("workload"):
             batch = self.workload.generate(epoch)
             if batch.num_partitions != self.replicas.num_partitions:
@@ -800,9 +804,8 @@ class Simulation:
             self._smoothed_load = load.astype(np.float64, copy=True)
             self._load_initialized = True
         else:
-            # Same EWMA convention as core.smoothing: alpha weights the
-            # new sample.
-            self._smoothed_load = (1.0 - alpha) * self._smoothed_load + alpha * load
+            # The EWMA of core.smoothing: alpha weights the new sample.
+            ewma_update_rows(self._smoothed_load, load, alpha)
         return self._blocking_probabilities(self._smoothed_load)
 
     def _blocking_probabilities(self, load: np.ndarray) -> np.ndarray:

@@ -4,8 +4,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from repro.core import Ewma, erlang_b
+from repro.config import RFHParameters
+from repro.core import Ewma, RFHPolicy, erlang_b
 from repro.core.availability import (
     availability_all_alive,
     availability_at_least_one,
@@ -13,6 +16,7 @@ from repro.core.availability import (
     min_replicas_for_availability,
 )
 from repro.core.blocking import offered_load, server_blocking_probabilities
+from repro.core.smoothing import EWMA_BLOCK_ROWS, ewma_update_rows
 from repro.core.thresholds import (
     blocked_tolerance,
     is_blocked,
@@ -78,6 +82,108 @@ class TestEwma:
         out = s.update(np.array([1.0]))
         out[0] = 99.0
         assert float(np.asarray(s.value)[0]) == 1.0
+
+
+B = EWMA_BLOCK_ROWS
+#: Row counts around the block edges: one row, a block short of full,
+#: exactly one block, one past it, and several blocks plus a remainder.
+BLOCK_EDGE_ROWS = (1, B - 1, B, B + 1, 3 * B + 7)
+
+
+def _unblocked_ewma(old: np.ndarray, raw: np.ndarray, alpha: float) -> np.ndarray:
+    """The whole-array sequence: ``(1 − α)·old``, ``α·raw``, their sum."""
+    return (1.0 - alpha) * old + alpha * raw
+
+
+def _raw_matrix(rng: np.random.Generator, kind: str, shape: tuple[int, ...]) -> np.ndarray:
+    if kind == "int64":
+        return rng.integers(0, 10**6, shape)
+    if kind == "strided":  # every other column of a wider buffer
+        wide = rng.exponential(40.0, shape[:-1] + (2 * shape[-1],))
+        return wide[..., ::2]
+    return rng.exponential(40.0, shape)
+
+
+def _same_bits(a: np.ndarray, b: np.ndarray) -> bool:
+    return a.dtype == b.dtype == np.float64 and np.array_equal(
+        a.view(np.int64), b.view(np.int64)
+    )
+
+
+class TestBlockedEwma:
+    """:func:`ewma_update_rows` is the unblocked arithmetic, bit for bit."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        rows=st.sampled_from(BLOCK_EDGE_ROWS),
+        cols=st.integers(min_value=1, max_value=4),
+        alpha=st.floats(min_value=0.01, max_value=0.99),
+        kind=st.sampled_from(("float64", "int64", "strided")),
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+    )
+    def test_matches_unblocked_update(self, rows, cols, alpha, kind, seed):
+        rng = np.random.default_rng(seed)
+        old = rng.exponential(40.0, (rows, cols))
+        raw = _raw_matrix(rng, kind, (rows, cols))
+        expected = _unblocked_ewma(old, raw, alpha)
+        state = old.copy()
+        assert ewma_update_rows(state, raw, alpha) is state
+        assert _same_bits(state, expected)
+
+    def test_vector_and_self_update(self):
+        rng = np.random.default_rng(3)
+        old = rng.exponential(40.0, B + 1)
+        raw = rng.exponential(40.0, B + 1)
+        state = old.copy()
+        ewma_update_rows(state, raw, 0.2)
+        assert _same_bits(state, _unblocked_ewma(old, raw, 0.2))
+        # Passing the state as its own sample reads the pre-update values.
+        expected = _unblocked_ewma(state, state, 0.3)
+        assert _same_bits(ewma_update_rows(state, state, 0.3), expected)
+
+    @settings(max_examples=15, deadline=None)
+    @given(
+        rows=st.sampled_from(BLOCK_EDGE_ROWS),
+        grow=st.integers(min_value=1, max_value=3),
+        alpha=st.floats(min_value=0.01, max_value=0.99),
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+    )
+    def test_policy_matrices_and_server_growth(self, rows, grow, alpha, seed):
+        """RFHPolicy's traffic and served EWMAs, including the served
+        update that pads a server axis grown by joins."""
+        rng = np.random.default_rng(seed)
+        policy = RFHPolicy(RFHParameters(alpha=alpha))
+        traffic = [_raw_matrix(rng, "int64", (rows, 3)) for _ in range(2)]
+        served = [rng.exponential(5.0, (rows, 3)), rng.exponential(5.0, (rows, 3 + grow))]
+        policy._update_traffic(traffic[0])
+        policy._update_served(served[0])
+        out_traffic = policy._update_traffic(traffic[1])
+        out_served = policy._update_served(served[1])
+        expected = _unblocked_ewma(traffic[0].astype(np.float64), traffic[1], alpha)
+        assert _same_bits(out_traffic, expected)
+        padded = np.zeros((rows, 3 + grow))
+        padded[:, :3] = served[0]
+        assert _same_bits(out_served, _unblocked_ewma(padded, served[1], alpha))
+
+    @settings(max_examples=15, deadline=None)
+    @given(
+        rows=st.sampled_from(BLOCK_EDGE_ROWS),
+        alpha=st.floats(min_value=0.01, max_value=0.99),
+        kind=st.sampled_from(("float64", "int64", "strided")),
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+    )
+    def test_ewma_array_stream(self, rows, alpha, kind, seed):
+        rng = np.random.default_rng(seed)
+        smoother = Ewma(alpha)
+        expected = None
+        for _ in range(3):
+            raw = _raw_matrix(rng, kind, (rows, 2))
+            out = smoother.update(raw)
+            if expected is None:
+                expected = raw.astype(np.float64)
+            else:
+                expected = _unblocked_ewma(expected, raw, alpha)
+            assert _same_bits(out, expected)
 
 
 class TestThresholds:

@@ -354,3 +354,26 @@ class TestRouterTablesAgainstReference:
         if sla == "boundary":
             # Both SLA outcomes occur, so the miss comparison is not vacuous.
             assert miss.any() and (~miss & (km > 0)).any()
+
+    def test_route_rows_are_built_on_demand(self):
+        """The tail walk's list rows equal the table rows, and only the
+        routes asked for are materialised."""
+        router = Router(build_ring_wan(build_synthetic_hierarchy(100)))
+        tables = RouterTables(router, LatencyModel())
+        n = router.num_nodes
+        assert tables._route_rows == {}
+        queried = {(o, h) for o in range(0, n, 7) for h in range(3, n, 11)}
+        for o, h in sorted(queried):
+            tables.route_row(o, h)
+        assert set(tables._route_rows) == queried
+        assert tables.route_row(7, 3) is tables.route_row(7, 3)
+        for o in range(n):
+            for h in range(n):
+                path, km, miss = tables.route_row(o, h)
+                assert path == tables.path[o, h].tolist()
+                assert km == tables.km[o, h].tolist()
+                assert np.array(km).view(np.int64).tolist() == (
+                    tables.km[o, h].view(np.int64).tolist()
+                )
+                assert miss == tables.miss[o, h].tolist()
+        assert len(tables._route_rows) == n * n
