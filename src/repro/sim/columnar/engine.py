@@ -81,7 +81,6 @@ class ColumnarSimulation(Simulation):
         self._mask_rows = np.zeros(0, dtype=np.int64)
         self._mask_cols = np.zeros(0, dtype=np.int64)
         self._mask_cap = np.zeros(0, dtype=np.float64)
-        self._mask_cnt_int = np.zeros(0, dtype=np.int64)
         self._mask_cnt_f = np.zeros(0, dtype=np.float64)
         self._mask_cap_ok = True
         # Reused all-zero scratch for the utilization fill matrix; after
@@ -185,7 +184,7 @@ class ColumnarSimulation(Simulation):
 
     def _total_replicas(self) -> int:
         if self._state.version != self._total_version:
-            self._total_cache = int(self._state.R.sum())
+            self._total_cache = int(self._state.R.sum(dtype=np.int64))
             self._total_version = self._state.version
         return self._total_cache
 
@@ -198,8 +197,7 @@ class ColumnarSimulation(Simulation):
         self._mask_rows = rows
         self._mask_cols = cols
         self._mask_cap = self._server_capacity_array()[cols]
-        self._mask_cnt_int = state.R[rows, cols]
-        self._mask_cnt_f = self._mask_cnt_int.astype(np.float64)
+        self._mask_cnt_f = state.R[rows, cols].astype(np.float64)
         self._mask_cap_ok = not bool((self._mask_cap <= 0).any())
         self._mask_version = state.version
         self._mask_shape = state.R.shape
@@ -239,7 +237,7 @@ class ColumnarSimulation(Simulation):
         if total == 0:
             return 0.0
         # Divide by the float64 mirror of the counts: same IEEE-754
-        # quotient bits (int64→float64 is exact below 2**53), but the
+        # quotient bits (an int32 count converts to float64 exactly), but the
         # dtype transition is explicit instead of numpy's promotion.
         per_copy = served_server[self._mask_rows, self._mask_cols] / self._mask_cnt_f
         weights = self._mask_cnt_f

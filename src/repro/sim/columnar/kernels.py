@@ -480,8 +480,8 @@ def serve_columnar(
     runs as a Python walk when few flows survive it and through the
     vectorized per-level machinery otherwise.
     """
-    counts = queries.counts
-    num_partitions, num_dcs = counts.shape
+    num_partitions = queries.num_partitions
+    num_dcs = queries.num_origins
     served_width = num_servers
     # Row-major (P, S) cells plus one sink cell for padded drain lanes.
     served_flat = np.zeros(num_partitions * served_width + 1, dtype=np.float64)
@@ -489,10 +489,17 @@ def serve_columnar(
     traffic = np.zeros((num_partitions, num_dcs), dtype=np.float64)
     unserved = np.zeros(num_partitions, dtype=np.float64)
     holder_flow = np.zeros(num_partitions, dtype=np.float64)
-    row_any = counts.any(axis=1)
+    # One flow per nonzero (partition, origin) cell in row-major order —
+    # the same flow slots, in the same order, as the scalar walk.
+    cell_index, cell_counts = queries.cells()
+    flow_p, flow_o = np.divmod(cell_index, num_dcs)
+    # Partitions with queries, ascending: flow_p is sorted, so a row
+    # starts wherever it changes (np.unique would also import numpy.ma).
+    row_start = np.ones(flow_p.shape[0], dtype=bool)
+    np.not_equal(flow_p[1:], flow_p[:-1], out=row_start[1:])
+    active = flow_p[row_start]
     if work is not None:
-        work.partitions_scanned += int(np.count_nonzero(row_any))
-    flow_p, flow_o = np.nonzero(counts)
+        work.partitions_scanned += int(active.shape[0])
     if flow_p.shape[0] == 0:
         return ServiceResult(
             served_server=served,
@@ -504,8 +511,6 @@ def serve_columnar(
             sla_miss=0.0,
             query_count=queries.total,
         )
-    # One flow per nonzero (partition, origin) cell in row-major order —
-    # the same flow slots, in the same order, as the scalar walk.
     dest = holder_dc[flow_p]
     plen_f = tables.plen[flow_o, dest]  # (F,) path node counts
     if work is not None:
@@ -517,7 +522,7 @@ def serve_columnar(
     slot_rem = csr.cap_ext.copy()
     sentinel = csr.n_slots
     sid_ext = csr.sid_ext
-    amount = counts[flow_p, flow_o].astype(np.float64)
+    amount = cell_counts.astype(np.float64)
     max_level = int(plen_f.max())
     # Traffic contributions are collected per level and applied in one
     # ordered scatter-add at the end: level-major, flow-minor — exactly
@@ -680,7 +685,6 @@ def serve_columnar(
         (np.concatenate(traffic_p), np.concatenate(traffic_dc_l)),
         np.concatenate(traffic_am),
     )
-    active = np.nonzero(row_any)[0]
     holder_flow[active] = served[active, holder[active]] + unserved[active]
     return ServiceResult(
         served_server=served,

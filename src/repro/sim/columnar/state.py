@@ -25,8 +25,9 @@ class SimState:
     Attributes
     ----------
     R:
-        ``(P, S)`` int64 replica-count matrix (the paper's ``m_ikt``).
-        ``S`` grows in place when servers join.
+        ``(P, S)`` int32 replica-count matrix (the paper's ``m_ikt``).
+        Copy counts are small, so int32 halves its footprint; sums over
+        it are taken in int64.  ``S`` grows in place when servers join.
     holder:
         ``(P,)`` int64 primary-holder server id per partition; ``-1``
         marks a partition whose every copy is lost.
@@ -39,7 +40,7 @@ class SimState:
 
     def __init__(self, num_partitions: int, num_servers: int) -> None:
         self._num_partitions = num_partitions
-        self.R = np.zeros((num_partitions, num_servers), dtype=np.int64)
+        self.R = np.zeros((num_partitions, num_servers), dtype=np.int32)
         self.holder = np.full(num_partitions, -1, dtype=np.int64)
         self.version = 0
         # Per-partition copy totals, maintained incrementally by
@@ -67,7 +68,7 @@ class SimState:
         """One (partition, server) count changed on the authoritative map."""
         if sid >= self.R.shape[1]:
             self.ensure_servers(sid + 1)
-        self._counts[partition] += count - self.R[partition, sid]
+        self._counts[partition] += count - int(self.R[partition, sid])
         self.R[partition, sid] = count
         self.version += 1
 
@@ -80,7 +81,7 @@ class SimState:
         """Grow the server axis (joins only ever append columns)."""
         if num_servers <= self.R.shape[1]:
             return
-        grown = np.zeros((self._num_partitions, num_servers), dtype=np.int64)
+        grown = np.zeros((self._num_partitions, num_servers), dtype=np.int32)
         grown[:, : self.R.shape[1]] = self.R
         self.R = grown
         self.version += 1
@@ -96,5 +97,5 @@ class SimState:
             self.holder[partition] = (
                 replicas.holder(partition) if replicas.has_holder(partition) else -1
             )
-        np.sum(self.R, axis=1, out=self._counts)
+        np.sum(self.R, axis=1, dtype=np.int64, out=self._counts)
         self.version += 1

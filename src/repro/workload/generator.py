@@ -94,6 +94,13 @@ class QueryGenerator:
             self._pattern, epoch
         )
         total = int(self._rng.poisson(rate))
-        cells = self._rng.multinomial(total, joint)
-        counts = cells.reshape(self._params.num_partitions, self._pattern.num_origins)
-        return QueryBatch.from_trusted(epoch, counts)
+        # The multinomial's dense P·D output lives only until its
+        # nonzero cells (at most ``total``) are pulled out.
+        drawn = self._rng.multinomial(total, joint)
+        index = np.flatnonzero(drawn)
+        return QueryBatch.from_cells(
+            epoch,
+            (self._params.num_partitions, self._pattern.num_origins),
+            index,
+            drawn[index],
+        )

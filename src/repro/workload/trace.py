@@ -11,6 +11,8 @@ for persistence.
 from __future__ import annotations
 
 import pathlib
+import zipfile
+import zlib
 
 import numpy as np
 
@@ -27,12 +29,13 @@ class WorkloadTrace:
     def __init__(self, batches: list[QueryBatch]) -> None:
         if not batches:
             raise WorkloadError("a trace needs at least one batch")
+        shape = (batches[0].num_partitions, batches[0].num_origins)
         for epoch, batch in enumerate(batches):
             if batch.epoch != epoch:
                 raise WorkloadError(
                     f"batch at position {epoch} carries epoch {batch.epoch}"
                 )
-            if batch.counts.shape != batches[0].counts.shape:
+            if (batch.num_partitions, batch.num_origins) != shape:
                 raise WorkloadError("all batches in a trace must share one shape")
         self._batches = tuple(batches)
 
@@ -85,11 +88,31 @@ class WorkloadTrace:
 
     @classmethod
     def load(cls, path: str | pathlib.Path) -> "WorkloadTrace":
-        """Read a trace previously written by :meth:`save`."""
-        with np.load(pathlib.Path(path)) as data:
-            if "counts" not in data:
+        """Read a trace previously written by :meth:`save`.
+
+        Raises :class:`WorkloadError` naming ``path`` for anything that
+        is not such a trace: an unreadable, empty, truncated or non-zip
+        file, a pickled (object) array, or counts a :class:`QueryBatch`
+        rejects.
+        """
+        path = pathlib.Path(path)
+        try:
+            loaded = np.load(path)
+            if not isinstance(loaded, np.lib.npyio.NpzFile):
                 raise WorkloadError(f"{path} is not a workload trace file")
-            stacked = data["counts"]
+            with loaded as data:
+                if "counts" not in data:
+                    raise WorkloadError(f"{path} is not a workload trace file")
+                stacked = data["counts"]
+        except (OSError, EOFError, ValueError, zipfile.BadZipFile, zlib.error) as exc:
+            raise WorkloadError(f"cannot read workload trace {path}: {exc}") from exc
         if stacked.ndim != 3:
-            raise WorkloadError(f"trace array must be 3-D, got shape {stacked.shape}")
-        return cls([QueryBatch(epoch, stacked[epoch]) for epoch in range(stacked.shape[0])])
+            raise WorkloadError(
+                f"{path}: trace array must be 3-D, got shape {stacked.shape}"
+            )
+        try:
+            return cls(
+                [QueryBatch(epoch, stacked[epoch]) for epoch in range(stacked.shape[0])]
+            )
+        except WorkloadError as exc:
+            raise WorkloadError(f"{path}: {exc}") from exc

@@ -9,7 +9,8 @@ scenario shapes, multiple seeds, Table I scale and 256 partitions,
 every kernel code path (the serve kernel picks between python and
 vectorized drain/tail branches by survivor count), the exported metric
 CSVs and the decision-provenance ledgers, a 2,000-partition RFH run on
-a 100-site ring, plus a hypothesis sweep over random small clusters.
+a 100-site ring, a sparse 2,000-partition run whose work counters must
+match too, plus a hypothesis sweep over random small clusters.
 """
 
 from __future__ import annotations
@@ -29,6 +30,7 @@ from repro.experiments.scenarios import (
 from repro.geo.hierarchy import DEFAULT_SITES, GeoHierarchy, build_synthetic_hierarchy
 from repro.metrics.export import to_csv
 from repro.net.builder import build_ring_wan, build_wan
+from repro.obs.perf import WorkCounters
 from repro.obs.provenance import ProvenanceRecorder, diff_provenance
 from repro.sim.columnar import ColumnarSimulation
 from repro.sim.columnar import kernels as columnar_kernels
@@ -190,6 +192,24 @@ def test_hundred_site_ring_matches(tmp_path) -> None:
         csv_bytes[engine_cls.engine_name] = path.read_bytes()
     assert chains["scalar"] == chains["columnar"]
     assert csv_bytes["scalar"] == csv_bytes["columnar"]
+
+
+def test_sparse_batches_match_with_work_counters() -> None:
+    """2,000 partitions at 60 queries per epoch: almost every partition
+    sees no query, so the serve kernel's flows come from the batch's
+    cells alone.  Chains and every work counter match."""
+    config = _small_config(5, partitions=2000, rate=60.0)
+    runs = {}
+    for engine_cls in (Simulation, ColumnarSimulation):
+        sanitizer = DeterminismSanitizer()
+        work = WorkCounters()
+        sim = engine_cls(config, policy="rfh", sanitizer=sanitizer, work=work)
+        sim.run(15)
+        chains = [r.chain for r in sanitizer.trail().records]
+        runs[engine_cls.engine_name] = (chains, work.totals())
+    assert runs["scalar"] == runs["columnar"]
+    # Under 5% of the partition-epochs carry a query.
+    assert 0 < runs["columnar"][1]["partitions_scanned"] < 0.05 * 15 * 2000
 
 
 @pytest.mark.parametrize("scenario_name", SCENARIOS)

@@ -2,8 +2,9 @@
 
 M below is one dense ``(P, S)`` float64 matrix.  RFH's own state is two
 such matrices — the Eq. 11 traffic EWMA and the served EWMA — and an
-epoch step allocates the new query counts and service result while the
-previous result is already released.
+epoch step allocates the new service result while the previous result
+is already released.  The epoch's query batch keeps only its nonzero
+cells, and the replica mirror holds int32 counts (half an M).
 """
 
 from __future__ import annotations
@@ -18,6 +19,9 @@ from repro.core import RFHPolicy
 from repro.geo import build_synthetic_hierarchy
 from repro.net import build_ring_wan
 from repro.sim.columnar import ColumnarSimulation
+from repro.sim.columnar.state import SimState
+from repro.sim.rng import RngTree
+from repro.workload import QueryGenerator, UniformPattern
 
 MB = 1 << 20
 
@@ -45,7 +49,8 @@ def test_policy_retains_only_its_two_ewma_states() -> None:
 
 def test_columnar_step_peak_stays_within_two_matrices() -> None:
     """One warm epoch on the 100-site ring raises the traced peak by at
-    most 2·M: the previous result is freed before the next is built."""
+    most 1·M: the previous result is freed before the next is built, and
+    the query batch holds its nonzero cells, not a dense matrix."""
     hierarchy = build_synthetic_hierarchy(100)
     config = SimulationConfig(
         seed=11,
@@ -78,4 +83,42 @@ def test_columnar_step_peak_stays_within_two_matrices() -> None:
         rise = tracemalloc.get_traced_memory()[1] - before
     finally:
         tracemalloc.stop()
-    assert rise <= 2 * matrix, f"step peak rose {rise / matrix:.2f} M"
+    assert rise <= matrix, f"step peak rose {rise / matrix:.2f} M"
+
+
+def test_generated_batch_keeps_only_its_cells() -> None:
+    """A generated batch at 2×10⁴ partitions × 100 sites keeps at most
+    1 MB — its λ-bounded cells — not the 16 MB dense draw."""
+    num_partitions, num_sites = 20_000, 100
+    params = WorkloadParameters(
+        queries_per_epoch_mean=10_000.0, num_partitions=num_partitions
+    )
+    pattern = UniformPattern(num_partitions, num_sites, 2.0)
+    gen = QueryGenerator(params, pattern, RngTree(7).stream("wl"))
+    gen.generate(0)  # builds the generator's joint-probability cache
+    gc.collect()
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        batch = gen.generate(1)
+        gc.collect()
+        kept = tracemalloc.get_traced_memory()[0] - start
+    finally:
+        tracemalloc.stop()
+    assert batch.num_partitions == num_partitions
+    assert kept <= MB, f"batch kept {kept / MB:.2f} MB"
+
+
+def test_replica_mirror_is_int32_and_sums_in_int64() -> None:
+    """``SimState.R`` stays int32 when a join widens it; per-partition
+    totals stay int64."""
+    state = SimState(4, 3)
+    assert state.R.dtype == np.int32
+    state.on_count(1, 2, 3)
+    state.on_count(1, 5, 2)  # a copy on a joined server widens the axis
+    assert state.R.shape == (4, 6) and state.R.dtype == np.int32
+    state.ensure_servers(8)
+    assert state.R.shape == (4, 8) and state.R.dtype == np.int32
+    assert state.R[1].tolist() == [0, 0, 3, 0, 0, 2, 0, 0]
+    totals = state.replica_counts()
+    assert totals.dtype == np.int64 and totals.tolist() == [0, 5, 0, 0]

@@ -2,6 +2,9 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from repro.config import WorkloadParameters
 from repro.errors import WorkloadError
@@ -46,6 +49,26 @@ class TestQueryBatch:
         with pytest.raises(WorkloadError):
             QueryBatch(0, np.array([[1.5]]))
 
+    @pytest.mark.parametrize(
+        "counts",
+        [
+            np.array([[np.inf, 1.0]]),
+            np.array([[1e30]]),
+            np.array([[2**63]], dtype=np.uint64),
+            np.array([[np.nan]]),
+        ],
+        ids=["inf", "1e30", "uint64-2**63", "nan"],
+    )
+    def test_counts_int64_cannot_hold_rejected(self, counts):
+        """Huge, infinite or NaN counts must not wrap to negative ones."""
+        with pytest.raises(WorkloadError):
+            QueryBatch(0, counts)
+
+    def test_largest_int64_count_accepted(self):
+        limit = np.iinfo(np.int64).max
+        batch = QueryBatch(0, np.array([[limit]], dtype=np.uint64))
+        assert batch.total == limit
+
     def test_integral_floats_accepted(self):
         batch = QueryBatch(0, np.array([[2.0]]))
         assert batch.total == 2
@@ -60,6 +83,102 @@ class TestQueryBatch:
         c = QueryBatch(1, np.array([[1, 2]]))
         assert a == b and hash(a) == hash(b)
         assert a != c
+
+
+@st.composite
+def count_matrices(draw):
+    """Non-negative int64 matrices: all zeros, empty rows, 1x1, 1xD,
+    Px1 and random density, with cells small enough that no sum wraps."""
+    shape = draw(st.tuples(st.integers(1, 9), st.integers(1, 9)))
+    top = draw(st.sampled_from([0, 1, 50, (2**63 - 1) // (shape[0] * shape[1])]))
+    density = draw(st.sampled_from([0.0, 0.1, 0.5, 1.0]))
+    values = draw(hnp.arrays(np.int64, shape, elements=st.integers(0, top)))
+    keep = draw(hnp.arrays(np.float64, shape, elements=st.floats(0.0, 1.0)))
+    return np.where(keep < density, values, 0)
+
+
+class TestCellBatchProperties:
+    """A batch stored as its nonzero cells reads exactly like the dense
+    matrix it was built from."""
+
+    @given(counts=count_matrices())
+    @settings(max_examples=150, deadline=None)
+    def test_dense_round_trip_and_sums(self, counts):
+        batch = QueryBatch(3, counts)
+        dense = batch.counts
+        assert dense.dtype == np.int64 and np.array_equal(dense, counts)
+        assert not dense.flags.writeable
+        with pytest.raises(ValueError):
+            dense[0, 0] = 1
+        assert batch.total == int(counts.sum())
+        for got, want in (
+            (batch.per_partition(), counts.sum(axis=1)),
+            (batch.per_origin(), counts.sum(axis=0)),
+        ):
+            assert got.dtype == want.dtype == np.int64
+            assert np.array_equal(got, want)
+        avg = batch.system_average_query()
+        want_avg = counts.sum(axis=1) / counts.shape[1]
+        assert avg.dtype == np.float64
+        assert np.array_equal(avg.view(np.int64), want_avg.view(np.int64))
+
+    @given(counts=count_matrices())
+    @settings(max_examples=100, deadline=None)
+    def test_cells_come_in_nonzero_order(self, counts):
+        index, values = QueryBatch(0, counts).cells()
+        assert not index.flags.writeable and not values.flags.writeable
+        assert index.dtype == values.dtype == np.int64
+        assert np.array_equal(index, np.flatnonzero(counts))
+        rows, cols = np.nonzero(counts)
+        assert np.array_equal(index // counts.shape[1], rows)
+        assert np.array_equal(index % counts.shape[1], cols)
+        assert np.array_equal(values, counts[rows, cols])
+
+    @given(
+        counts=count_matrices(),
+        cell=st.tuples(st.integers(0, 8), st.integers(0, 8)),
+        bump=st.integers(0, 2),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_equality_and_hash_follow_the_dense_matrix(self, counts, cell, bump):
+        other = counts.copy()
+        i, j = cell[0] % counts.shape[0], cell[1] % counts.shape[1]
+        other[i, j] = bump
+        a, b = QueryBatch(0, counts), QueryBatch(0, other)
+        assert (a == b) == np.array_equal(counts, other)
+        if a == b:
+            assert hash(a) == hash(b)
+        same = QueryBatch(0, counts.astype(np.uint64))
+        assert a == same and hash(a) == hash(same)
+        assert a != QueryBatch(1, counts)
+        # Shape takes part: an all-zero 2x3 batch is not an all-zero 3x2 one.
+        assert (a == QueryBatch(0, counts.T)) == np.array_equal(counts, counts.T)
+
+    @pytest.mark.parametrize(
+        "pattern",
+        [
+            UniformPattern(40, 10, 0.9),
+            HotspotPattern(40, 10, 2.0, hot_origins=(7, 8, 9)),
+            FlashCrowdPattern(40, 10, 0.9, total_epochs=8),
+        ],
+        ids=["uniform", "hotspot", "flash-crowd"],
+    )
+    def test_generator_keeps_the_rng_stream(self, pattern):
+        """Each generated batch equals the dense multinomial draw of the
+        same stream, and the stream ends in the same state."""
+        params = WorkloadParameters(queries_per_epoch_mean=60.0, num_partitions=40)
+        stream = RngTree(7).stream("wl")
+        gen = QueryGenerator(params, pattern, stream)
+        rng = RngTree(7).stream("wl")
+        for epoch in range(8):
+            joint = np.outer(
+                pattern.partition_weights(epoch), pattern.origin_weights(epoch)
+            ).ravel()
+            joint /= joint.sum()
+            total = int(rng.poisson(params.queries_per_epoch_mean))
+            dense = rng.multinomial(total, joint).reshape(40, 10)
+            assert gen.generate(epoch) == QueryBatch(epoch, dense)
+        assert stream.bit_generator.state == rng.bit_generator.state
 
 
 class TestZipf:
@@ -230,6 +349,54 @@ class TestTrace:
         path = tmp_path / "other.npz"
         np.savez(path, foo=np.zeros(3))
         with pytest.raises(WorkloadError):
+            WorkloadTrace.load(path)
+
+    def test_load_reads_a_dense_counts_stack(self, tmp_path):
+        """The file format is one dense (epochs, P, D) int64 array."""
+        stacked = np.zeros((3, 16, 10), dtype=np.int64)
+        stacked[0, 2, 5] = 4
+        stacked[2, 15, 0] = 1
+        path = tmp_path / "dense.npz"
+        np.savez_compressed(path, counts=stacked)
+        loaded = WorkloadTrace.load(path)
+        assert [b.counts.tolist() for b in loaded.batches()] == stacked.tolist()
+
+    def _truncated(self, path):
+        self._trace().save(path)
+        data = path.read_bytes()
+        path.write_bytes(data[: len(data) // 2])
+
+    def _npy(self, path):
+        with path.open("wb") as fh:
+            np.save(fh, np.ones((2, 4, 3), dtype=np.int64))
+
+    @pytest.mark.parametrize(
+        "write",
+        [
+            _truncated,
+            lambda self, path: path.write_bytes(b"not a trace file"),
+            lambda self, path: np.savez(
+                path, counts=np.array([[[1, 2]]], dtype=object)
+            ),
+            lambda self, path: path.write_bytes(b""),
+            lambda self, path: np.savez(path, counts=np.array([[[np.inf, 1.0]]])),
+            lambda self, path: np.savez(path, counts=np.array([[["1", "2"]]])),
+            _npy,
+        ],
+        ids=[
+            "truncated",
+            "not-a-zip",
+            "object-array",
+            "empty",
+            "inf-count",
+            "string-counts",
+            "npy",
+        ],
+    )
+    def test_load_raises_typed_error_naming_the_path(self, tmp_path, write):
+        path = tmp_path / "bad.npz"
+        write(self, path)
+        with pytest.raises(WorkloadError, match="bad.npz"):
             WorkloadTrace.load(path)
 
     def test_misnumbered_batches_rejected(self):
