@@ -20,11 +20,12 @@ from .decision import (
     SUICIDE_IDLE_BAR,
     RFHDecision,
 )
-from .smoothing import Ewma, ewma_update_rows
+from .smoothing import Ewma, ewma_update_cells
 from .thresholds import UNSERVED_TOLERANCE
 from .traffic import _null_span
 
 if TYPE_CHECKING:
+    from .traffic import CellMatrix
     from ..obs.perf.counters import WorkCounters
     from ..sim.columnar.state import SimState
 
@@ -66,10 +67,11 @@ class RFHPolicy:
         self._unserved = Ewma(self._params.alpha)  # blocked-query signal
         # The two matrix-shaped EWMAs — Eq. 11's (partition, dc) traffic
         # and the per-(partition, server) served signal — are kept by
-        # hand: updated in place by :func:`ewma_update_rows` (the same
-        # per-element multiply/add sequence :class:`Ewma` performs, so
-        # values stay bit-identical) because at scale the defensive
-        # copies would dominate the epoch.  The server axis can also
+        # hand: updated in place from the epoch's nonzero cells by
+        # :func:`ewma_update_cells` (the same per-element multiply/add
+        # sequence :class:`Ewma` performs, so values stay bit-identical)
+        # because at scale the defensive copies and the dense raw
+        # matrices would dominate the epoch.  The server axis can also
         # grow when nodes join mid-run.
         self._traffic: np.ndarray | None = None  # Eq. 11, per (partition, dc)
         self._served: np.ndarray | None = None
@@ -121,12 +123,12 @@ class RFHPolicy:
         """Run the decision tree over all partitions for one epoch."""
         with self._span("ewma-smoothing"):
             avg_query = np.asarray(self._avg_query.update(obs.system_average_query()))
-            traffic = self._update_traffic(obs.traffic_dc)
+            traffic = self._update_traffic(obs.result.traffic_cells)
             holder_traffic = np.asarray(
                 self._holder_traffic.update(obs.holder_traffic)
             )
             unserved = np.asarray(self._unserved.update(obs.unserved))
-            served = self._update_served(obs.served_server)
+            served = self._update_served(obs.result.served_cells)
         actions: list[Action] = []
         with self._span("decision-eval"):
             partitions = self._decision_partitions(
@@ -250,20 +252,24 @@ class RFHPolicy:
                 if by_sid is not None:
                     by_sid.pop(action.sid, None)
 
-    def _update_traffic(self, raw: np.ndarray) -> np.ndarray:
+    def _update_traffic(self, raw: "CellMatrix") -> np.ndarray:
         """EWMA of the (P, D) traffic matrix (Eq. 11), in place."""
         if self._traffic is None:
-            self._traffic = raw.astype(np.float64, copy=True)
+            self._traffic = raw.dense()
             return self._traffic
-        return ewma_update_rows(self._traffic, raw, self._params.alpha)
+        return ewma_update_cells(
+            self._traffic, raw.index, raw.values, self._params.alpha
+        )
 
-    def _update_served(self, raw: np.ndarray) -> np.ndarray:
+    def _update_served(self, raw: "CellMatrix") -> np.ndarray:
         """EWMA of the (P, S) served matrix, padding on server growth."""
         if self._served is None:
-            self._served = raw.astype(np.float64, copy=True)
+            self._served = raw.dense()
             return self._served
         if raw.shape[1] > self._served.shape[1]:
-            grown = np.zeros_like(raw, dtype=np.float64)
+            grown = np.zeros(raw.shape, dtype=np.float64)
             grown[:, : self._served.shape[1]] = self._served
             self._served = grown
-        return ewma_update_rows(self._served, raw, self._params.alpha)
+        return ewma_update_cells(
+            self._served, raw.index, raw.values, self._params.alpha
+        )

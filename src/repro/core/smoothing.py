@@ -24,7 +24,9 @@ Array states are updated in place by :func:`ewma_update_rows`, one block
 of :data:`EWMA_BLOCK_ROWS` rows at a time: the per-element operations are
 the ones the whole-array expression performs, so the values are
 bit-identical, but the only scratch is one block-sized buffer instead of
-three full-size temporaries.
+three full-size temporaries.  A raw sample that is zero outside a few
+cells is folded in by :func:`ewma_update_cells` with one in-place pass
+and a gather/scatter over the cells, again bit for bit.
 """
 
 from __future__ import annotations
@@ -33,7 +35,7 @@ import numpy as np
 
 from ..errors import ConfigurationError
 
-__all__ = ["EWMA_BLOCK_ROWS", "Ewma", "ewma_update_rows"]
+__all__ = ["EWMA_BLOCK_ROWS", "Ewma", "ewma_update_cells", "ewma_update_rows"]
 
 #: Rows per block of :func:`ewma_update_rows`.  At the 100-site scale a
 #: block's scratch is 1,024 × 100 float64 values (0.8 MB), independent of
@@ -64,6 +66,28 @@ def ewma_update_rows(state: np.ndarray, raw: np.ndarray, alpha: float) -> np.nda
         np.multiply(raw[lo : lo + EWMA_BLOCK_ROWS], alpha, out=fresh)
         np.multiply(block, keep, out=block)
         np.add(block, fresh, out=block)
+    return state
+
+
+def ewma_update_cells(
+    state: np.ndarray, index: np.ndarray, values: np.ndarray, alpha: float
+) -> np.ndarray:
+    """:func:`ewma_update_rows` for a raw sample given as its nonzero cells.
+
+    ``state`` is a C-contiguous float64 array; the raw sample is zero
+    except at the row-major flat positions ``index`` (distinct), where
+    it holds ``values``.  The state is scaled by ``1 − α`` in place, then
+    ``α·value`` is added on the cells: the same two products and sum the
+    dense update performs there.  Off the cells the dense update adds
+    ``α·0 = +0.0``, which leaves a non-negative value's bits unchanged,
+    so for the non-negative signals this smooths (traffic and served
+    counts) the result is bit-identical.  Returns ``state``.
+    """
+    if not state.flags.c_contiguous:
+        raise ValueError("ewma_update_cells needs a C-contiguous state")
+    np.multiply(state, 1.0 - alpha, out=state)
+    flat = state.reshape(-1)  # a view, since the state is contiguous
+    flat[index] += values * alpha
     return state
 
 

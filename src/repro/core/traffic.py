@@ -23,7 +23,11 @@ at conjunction nodes exactly as physical queries would.
 Everything the metrics need falls out of the same walk: per-server
 served counts (utilization, Eq. 20; load imbalance, Eq. 24), per-DC
 traffic (hub detection, Eqs. 12–13), unserved overflow, and lookup path
-lengths (hops until a replica was hit).
+lengths (hops until a replica was hit).  A served query lands only on a
+cell that holds a replica and traffic only on the datacenters of the
+routing paths, so :class:`ServiceResult` keeps both matrices as their
+nonzero cells (:class:`CellMatrix`); this walk fills dense matrices and
+hands back their cells.
 """
 
 from __future__ import annotations
@@ -41,7 +45,7 @@ from ..workload.query import QueryBatch
 if TYPE_CHECKING:
     from ..obs.perf.counters import WorkCounters
 
-__all__ = ["ServiceResult", "serve_epoch"]
+__all__ = ["CellMatrix", "ServiceResult", "serve_epoch"]
 
 #: Per-partition replica layout: ``{dc: [(sid, capacity_queries_per_epoch)]}``.
 ReplicaLayout = Mapping[int, Sequence[tuple[int, float]]]
@@ -67,16 +71,75 @@ def _null_span(name: str) -> _NullSpan:
 
 
 @dataclass(frozen=True)
+class CellMatrix:
+    """A ``(rows, cols)`` float64 matrix kept as its nonzero cells.
+
+    ``index`` holds the row-major flat indices ``i · cols + j`` of the
+    nonzero cells in ascending order and ``values`` their float64 values;
+    every other cell is +0.0.  An epoch's served and traffic matrices
+    touch a few hundred to a few thousand of their ``P · S`` and ``P · D``
+    cells, so this is ``O(cells)`` memory however large the matrix is.
+    """
+
+    shape: tuple[int, int]
+    index: np.ndarray
+    values: np.ndarray
+
+    def __post_init__(self) -> None:
+        self.index.setflags(write=False)
+        self.values.setflags(write=False)
+
+    @classmethod
+    def from_dense(cls, dense: np.ndarray) -> "CellMatrix":
+        """The nonzero cells of a 2-D matrix (``np.flatnonzero`` order)."""
+        flat = np.ascontiguousarray(dense, dtype=np.float64).reshape(-1)
+        index = np.flatnonzero(flat)
+        return cls((int(dense.shape[0]), int(dense.shape[1])), index, flat[index])
+
+    def dense(self) -> np.ndarray:
+        """The whole ``(rows, cols)`` matrix, built afresh on every call."""
+        out = np.zeros(self.shape[0] * self.shape[1], dtype=np.float64)
+        out[self.index] = self.values
+        return out.reshape(self.shape)
+
+    def row(self, i: int) -> np.ndarray:
+        """Row ``i`` as a dense length-``cols`` vector."""
+        cols = self.shape[1]
+        lo, hi = np.searchsorted(self.index, (i * cols, (i + 1) * cols))
+        out = np.zeros(cols, dtype=np.float64)
+        out[self.index[lo:hi] - i * cols] = self.values[lo:hi]
+        return out
+
+    def column_sums(self) -> np.ndarray:
+        """``dense().sum(axis=0)``, bit for bit.
+
+        numpy sums the rows of a C-contiguous matrix one after another,
+        so each column total is its cells added in row order; the cells
+        left out are +0.0, whose addition to a non-negative partial sum
+        changes no bit.  ``np.bincount`` adds the cells in exactly that
+        order.  A single column is summed pairwise instead, so it keeps
+        the dense reduction.
+        """
+        cols = self.shape[1]
+        if cols == 1:
+            return self.dense().sum(axis=0)
+        sums = np.bincount(self.index % cols, weights=self.values, minlength=cols)
+        return sums.astype(np.float64, copy=False)  # int64 when there are no cells
+
+
+@dataclass(frozen=True)
 class ServiceResult:
     """Outcome of routing one epoch's queries through the replica layout.
 
     Attributes
     ----------
-    served_server:
-        ``(P, S)``: queries of partition ``i`` served by server ``sid``.
-    traffic_dc:
-        ``(P, D)``: Eq. 8 traffic — the flow *arriving* at each
-        datacenter for each partition (its own service not subtracted).
+    served_cells:
+        ``(P, S)`` as cells: queries of partition ``i`` served by server
+        ``sid``; nonzero only where ``sid`` holds a copy of ``i``.
+    traffic_cells:
+        ``(P, D)`` as cells: Eq. 8 traffic — the flow *arriving* at each
+        datacenter for each partition (its own service not subtracted);
+        nonzero only on the datacenters of the routing paths.
     unserved:
         Length ``P``: queries that overflowed every replica on their
         path, including the holder (blocked this epoch).
@@ -105,8 +168,8 @@ class ServiceResult:
         Total queries routed (== ``queries.total``).
     """
 
-    served_server: np.ndarray
-    traffic_dc: np.ndarray
+    served_cells: CellMatrix
+    traffic_cells: CellMatrix
     unserved: np.ndarray
     holder_traffic: np.ndarray
     hop_sum: float
@@ -115,9 +178,19 @@ class ServiceResult:
     query_count: int
 
     @property
+    def served_server(self) -> np.ndarray:
+        """Dense ``(P, S)`` served matrix, rebuilt from the cells per access."""
+        return self.served_cells.dense()
+
+    @property
+    def traffic_dc(self) -> np.ndarray:
+        """Dense ``(P, D)`` Eq. 8 traffic matrix, rebuilt per access."""
+        return self.traffic_cells.dense()
+
+    @property
     def per_server_load(self) -> np.ndarray:
         """Total queries served per server across partitions (length S)."""
-        return self.served_server.sum(axis=0)
+        return self.served_cells.column_sums()
 
     @property
     def mean_path_length(self) -> float:
@@ -128,7 +201,7 @@ class ServiceResult:
 
     @property
     def total_served(self) -> float:
-        """Total queries actually served this epoch."""
+        """Total queries actually served this epoch (the dense sum)."""
         return float(self.served_server.sum())
 
 
@@ -256,8 +329,8 @@ def serve_epoch(
             holder_flow[partition] = served[partition, sid] + unserved[partition]
 
     return ServiceResult(
-        served_server=served,
-        traffic_dc=traffic,
+        served_cells=CellMatrix.from_dense(served),
+        traffic_cells=CellMatrix.from_dense(traffic),
         unserved=unserved,
         holder_traffic=holder_flow,
         hop_sum=float(np.sum(np.asarray(flow_hops, dtype=np.float64))),

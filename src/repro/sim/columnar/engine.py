@@ -83,9 +83,9 @@ class ColumnarSimulation(Simulation):
         self._mask_cap = np.zeros(0, dtype=np.float64)
         self._mask_cnt_f = np.zeros(0, dtype=np.float64)
         self._mask_cap_ok = True
-        # Reused all-zero scratch for the utilization fill matrix; after
-        # every use the touched cells are reset so the buffer re-enters
-        # the next epoch exactly as ``np.zeros_like`` would.
+        # Reused all-zero (P, S) scratch for the served total and the
+        # utilization fill matrix; after every use the touched cells are
+        # reset so the buffer re-enters the next epoch all zero.
         self._fills = np.zeros(0, dtype=np.float64)
         # Policies that support it (RFH) get the dense mirror for their
         # vectorized decision prefilter; baselines simply lack the hook.
@@ -133,6 +133,9 @@ class ColumnarSimulation(Simulation):
         if state.version != self._csr_version:
             if bool((state.holder < 0).any()):  # pragma: no cover - restores
                 return super()._serve_epoch(batch)  # precede serve in step()
+            # Release the stale CSR first: its dense key tables are
+            # O(P·D) each, and two sets must not be live at once.
+            self._csr = None
             self._csr = build_slot_csr(
                 state.R,
                 state.holder,
@@ -147,7 +150,6 @@ class ColumnarSimulation(Simulation):
         with self.profiler.span("columnar-serve"):
             return serve_columnar(
                 batch,
-                state.holder,
                 self._holder_dc_cache,
                 self._csr,
                 self._tables,
@@ -202,50 +204,53 @@ class ColumnarSimulation(Simulation):
         self._mask_version = state.version
         self._mask_shape = state.R.shape
 
-    def _utilization_value(
-        self, served_server: np.ndarray, counts: np.ndarray, capacities: np.ndarray
-    ) -> float:
-        """Eq. 21 via cached replica-cell indices, bit-identical.
+    def _served_metrics(
+        self, result: "ServiceResult", counts: np.ndarray, capacities: np.ndarray
+    ) -> tuple[float, float, float]:
+        """Served total, Eq. 21 utilization and normalised Eq. 26 load CV
+        from the served cells, bit-identical to the dense formulas.
 
-        Divide and clamp run on exactly the masked cells (same per-cell
-        IEEE-754 ops as the dense formula); every other cell of the
-        fill matrix is an exact 0.0 in both versions, so the final
+        The served cells are written into the reused all-zero scratch
+        ``_fills`` so the total is the dense matrix's own ``sum()``, in
+        its order.  Utilization's divide and clamp then run on exactly
+        the replica cells (the same per-cell IEEE-754 ops as the dense
+        formula) and every other cell is an exact 0.0, so its
         full-matrix ``sum`` reduces the same values in the same order.
+        The touched cells are re-zeroed before returning.
         """
+        served = result.served_cells
+        fills = self._fills
+        if fills.shape != served.shape:
+            fills = np.zeros(served.shape, dtype=np.float64)
+            self._fills = fills
+        flat = fills.reshape(-1)
+        flat[served.index] = served.values
+        total_served = float(fills.sum())
         self._ensure_mask_cache()
+        rows, cols = self._mask_rows, self._mask_cols
+        # Served queries of every replica cell (0.0 where none landed).
+        at_copies = fills[rows, cols]
+        flat[served.index] = 0.0
         total = self._total_replicas()
         if total == 0:
-            return 0.0
+            return total_served, 0.0, 0.0
         if not self._mask_cap_ok:
             raise SimulationError(
                 "replica-holding servers must have positive capacity"
             )
-        fills = self._fills
-        if fills.shape != served_server.shape:
-            fills = np.zeros_like(served_server)
-            self._fills = fills
-        vals = served_server[self._mask_rows, self._mask_cols] / self._mask_cap
-        fills[self._mask_rows, self._mask_cols] = np.minimum(vals, self._mask_cnt_f)
-        out = float(fills.sum() / total)
-        fills[self._mask_rows, self._mask_cols] = 0.0
-        return out
-
-    def _load_cv_value(self, served_server: np.ndarray, counts: np.ndarray) -> float:
-        """Normalised Eq. 26 via cached replica-cell indices."""
-        self._ensure_mask_cache()
-        total = self._total_replicas()
-        if total == 0:
-            return 0.0
+        fills[rows, cols] = np.minimum(at_copies / self._mask_cap, self._mask_cnt_f)
+        utilization = float(fills.sum() / total)
+        fills[rows, cols] = 0.0
         # Divide by the float64 mirror of the counts: same IEEE-754
         # quotient bits (an int32 count converts to float64 exactly), but the
         # dtype transition is explicit instead of numpy's promotion.
-        per_copy = served_server[self._mask_rows, self._mask_cols] / self._mask_cnt_f
+        per_copy = at_copies / self._mask_cnt_f
         weights = self._mask_cnt_f
         mean = float((per_copy * weights).sum() / total)
         if mean <= 0.0:
-            return 0.0
+            return total_served, utilization, 0.0
         var = float((weights * (per_copy - mean) ** 2).sum() / total)
-        return float(np.sqrt(max(0.0, var)) / mean)
+        return total_served, utilization, float(np.sqrt(max(0.0, var)) / mean)
 
     def _server_imbalance_value(
         self, per_server_load: np.ndarray, alive_mask: np.ndarray

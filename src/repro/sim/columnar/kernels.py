@@ -24,12 +24,13 @@ the IEEE-754 level:
   amount`` terms the scalar walk now computes — and reduced with the
   same final ``np.sum`` over the same flow order.
 
+Served queries are added per slot — one slot per (partition, server)
+cell holding replicas — in the scalar walk's order, and handed back as
+the nonzero cells of the ``(P, S)`` matrix; traffic is added per touched
+(partition, datacenter) cell in the order the dense scatter-add used.
 Padding never perturbs state: a dedicated sentinel slot with zero
-capacity (and one sink cell past the end of the flat served buffer)
-absorbs all padded lanes, whose writes are exact no-ops by construction.
-The served matrix handed back is the buffer's first ``P · S`` cells
-reshaped to ``(P, S)`` — C-contiguous, so every reduction over it runs
-in the order it runs over the scalar engine's matrix.
+capacity absorbs all padded lanes, whose writes are exact no-ops by
+construction.
 """
 
 from __future__ import annotations
@@ -39,7 +40,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from ...core.traffic import ServiceResult
+from ...core.traffic import CellMatrix, ServiceResult
 from .tables import RouterTables
 
 if TYPE_CHECKING:
@@ -76,37 +77,45 @@ class SlotCSR:
 
     Slots are sorted by ``(partition, datacenter, holder-last, sid)`` —
     the scalar walk's deterministic drain order — and addressed through
-    ``searchsorted`` on the composite key ``partition * D + dc``.  One
-    extra sentinel entry (capacity 0, server id ``S``) terminates the
-    arrays so padded drain lanes have a harmless landing slot; their
-    served writes go to the serve buffer's sink cell.
+    ``searchsorted`` on the composite key ``partition * D + dc``.  Each
+    slot is one (partition, server) cell holding replicas; ``cell_index``
+    lists those cells' row-major flat indices ``p · S + sid`` in
+    ascending order and ``cell_slot`` the slot of each, and
+    ``holder_slot[p]`` is the slot of partition ``p``'s holder.  One
+    extra sentinel slot (index ``n_slots``, capacity 0) gives padded
+    drain lanes a harmless landing slot.
     """
 
     __slots__ = (
         "key",
-        "sid_ext",
         "cap",
         "n_slots",
         "cap_ext",
+        "cell_index",
+        "cell_slot",
+        "holder_slot",
         "lo_dense",
         "run_dense",
         "lo_list",
         "run_list",
-        "sid_list",
         "key_list",
     )
 
     def __init__(
         self,
         key: np.ndarray,
-        sid_ext: np.ndarray,
         cap: np.ndarray,
+        cell_index: np.ndarray,
+        cell_slot: np.ndarray,
+        holder_slot: np.ndarray,
         num_keys: int,
     ) -> None:
         self.key = key
-        self.sid_ext = sid_ext
         self.cap = cap
         self.n_slots = int(key.shape[0])
+        self.cell_index = cell_index
+        self.cell_slot = cell_slot
+        self.holder_slot = holder_slot
         # Per-epoch remaining-capacity template: the sentinel slot rides
         # at the end so ``slot_rem`` is a single copy, no concatenate.
         self.cap_ext = np.concatenate([cap, np.zeros(1, dtype=np.float64)])
@@ -126,7 +135,6 @@ class SlotCSR:
         # Python-list mirrors for the tail walk, built on first use.
         self.lo_list: list[int] | None = None
         self.run_list: list[int] | None = None
-        self.sid_list: list[int] | None = None
         self.key_list: list[int] | None = None
 
     def runs(self, group_key: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -158,6 +166,7 @@ def build_slot_csr(
     replica_capacity`` — the very multiply the scalar layout builder
     performs.
     """
+    num_partitions = int(replica_matrix.shape[0])
     pp, ss = np.nonzero(replica_matrix)
     vals = replica_matrix[pp, ss]
     slot_dc = dc_of[ss]
@@ -165,51 +174,49 @@ def build_slot_csr(
     # Primary sort partition, then datacenter, holder server last within
     # its datacenter, then ascending sid: the scalar drain order.
     order = np.lexsort((ss, is_holder, slot_dc, pp))
+    n_slots = int(order.shape[0])
+    # np.nonzero enumerates the cells in ascending row-major order, so
+    # the inverse of the drain-order permutation maps cell k to its slot.
+    cell_slot = np.empty(n_slots, dtype=np.int64)
+    cell_slot[order] = np.arange(n_slots)
+    cell_index = pp * num_servers + ss
+    holder_slot = np.full(num_partitions, n_slots, dtype=np.int64)
+    holder_slot[pp[is_holder]] = cell_slot[is_holder]
     ss = ss[order]
     cap = vals[order].astype(np.float64) * capacities[ss]
     key = pp[order] * num_dcs + slot_dc[order]
-    sid_ext = np.concatenate([ss, np.array([num_servers], dtype=np.int64)])
-    return SlotCSR(key, sid_ext, cap, int(replica_matrix.shape[0]) * num_dcs)
+    return SlotCSR(
+        key, cap, cell_index, cell_slot, holder_slot, num_partitions * num_dcs
+    )
 
 
 def _drain_batch(
     amounts: np.ndarray,
     lo: np.ndarray,
     run: np.ndarray,
-    flow_partition: np.ndarray,
     slot_rem: np.ndarray,
-    sid_ext: np.ndarray,
-    served_flat: np.ndarray,
+    slot_served: np.ndarray,
     sentinel: int,
-    served_width: int,
 ) -> np.ndarray:
     """Drain a batch of memory-disjoint flows; returns post-drain amounts.
 
     Each row is one flow with a contiguous slot run ``[lo, lo + run)``;
-    rows belong to distinct (partition, dc) groups, so their slots and
-    served cells never collide.  Rows are padded to the widest run with
-    the sentinel slot (capacity 0), whose takes are exact zeros and land
-    on the sink, the last cell of ``served_flat``.
+    rows belong to distinct (partition, dc) groups, so their slots never
+    collide.  Rows are padded to the widest run with the sentinel slot
+    (capacity 0), whose takes are exact zeros.
     """
     width = int(run.max())
     col = np.arange(width)
-    real = col[None, :] < run[:, None]
-    sidx = np.where(real, lo[:, None] + col[None, :], sentinel)
+    sidx = np.where(col[None, :] < run[:, None], lo[:, None] + col[None, :], sentinel)
     caps = slot_rem[sidx]
     seq = np.subtract.accumulate(
         np.concatenate([amounts[:, None], caps], axis=1), axis=1
     )
     take = np.minimum(caps, np.maximum(seq[:, :-1], 0.0))
     slot_rem[sidx] = caps - take
-    # Real (partition, sid) pairs are unique within the batch; padded
-    # lanes add exact zeros to the sink, so buffered fancy indexing is
-    # safe.
-    srv = np.where(
-        real,
-        flow_partition[:, None] * served_width + sid_ext[sidx],
-        served_flat.shape[0] - 1,
-    )
-    served_flat[srv] += take
+    # Real slots are unique within the batch; padded lanes add exact
+    # zeros to the sentinel, so buffered fancy indexing is safe.
+    slot_served[sidx] += take
     return np.maximum(seq[:, -1], 0.0)
 
 
@@ -219,12 +226,9 @@ def _drain_level(
     lo: np.ndarray,
     run: np.ndarray,
     has_slots: np.ndarray,
-    flow_partition: np.ndarray,
     slot_rem: np.ndarray,
-    sid_ext: np.ndarray,
-    served_flat: np.ndarray,
+    slot_served: np.ndarray,
     sentinel: int,
-    served_width: int,
     unique_keys: bool = False,
 ) -> np.ndarray:
     """Drain every flow of one path level; returns the new amount vector.
@@ -244,19 +248,16 @@ def _drain_level(
         a_list = out[idx].tolist()
         lo_list = lo[idx].tolist()
         run_list = run[idx].tolist()
-        row_list = (flow_partition[idx] * served_width).tolist()
-        sids = sid_ext
         for i in range(n):
             a = a_list[i]
             base = lo_list[i]
-            row = row_list[i]
             for s in range(base, base + run_list[i]):
                 cap = slot_rem[s]
                 if cap <= 0.0:
                     continue
                 take = cap if cap < a else a
                 slot_rem[s] = cap - take
-                served_flat[row + sids[s]] += take
+                slot_served[s] += take
                 a -= take
                 if a <= 0.0:
                     break
@@ -266,11 +267,8 @@ def _drain_level(
     am = amounts[has_slots]
     lom = lo[has_slots]
     runm = run[has_slots]
-    fpm = flow_partition[has_slots]
     if unique_keys:
-        out[has_slots] = _drain_batch(
-            am, lom, runm, fpm, slot_rem, sid_ext, served_flat, sentinel, served_width
-        )
+        out[has_slots] = _drain_batch(am, lom, runm, slot_rem, slot_served, sentinel)
         return out
     gkm = group_key[has_slots]
     order = np.argsort(gkm, kind="stable")
@@ -287,20 +285,10 @@ def _drain_level(
         for r in range(int(rank.max()) + 1):
             sel = order[rank == r]
             result[sel] = _drain_batch(
-                am[sel],
-                lom[sel],
-                runm[sel],
-                fpm[sel],
-                slot_rem,
-                sid_ext,
-                served_flat,
-                sentinel,
-                served_width,
+                am[sel], lom[sel], runm[sel], slot_rem, slot_served, sentinel
             )
     else:
-        result = _drain_batch(
-            am, lom, runm, fpm, slot_rem, sid_ext, served_flat, sentinel, served_width
-        )
+        result = _drain_batch(am, lom, runm, slot_rem, slot_served, sentinel)
     out[has_slots] = result
     return out
 
@@ -315,8 +303,7 @@ def _walk_tail_python(
     tables: RouterTables,
     csr: SlotCSR,
     slot_rem: np.ndarray,
-    served_flat: np.ndarray,
-    served_width: int,
+    slot_served: np.ndarray,
     unserved: np.ndarray,
     f_hops: np.ndarray,
     f_kms: np.ndarray,
@@ -342,14 +329,12 @@ def _walk_tail_python(
     served/unserved scatter-adds are replayed by ``np.add.at`` in the
     exact order they were recorded (sequential, hence bit-identical).
     """
-    if csr.sid_list is None:
-        csr.sid_list = csr.sid_ext.tolist()
+    if csr.lo_list is None and csr.key_list is None:
         if csr.lo_dense is not None and csr.run_dense is not None:
             csr.lo_list = csr.lo_dense.tolist()
             csr.run_list = csr.run_dense.tolist()
         else:
             csr.key_list = csr.key.tolist()
-    sid_l = csr.sid_list
     dense = csr.lo_list is not None
     lo_l: list[int] = csr.lo_list if csr.lo_list is not None else []
     run_l: list[int] = csr.run_list if csr.run_list is not None else []
@@ -416,7 +401,7 @@ def _walk_tail_python(
                         continue
                     take = cap if cap < a else a
                     rem[s] = cap - take
-                    s_idx_append(p * served_width + sid_l[s])
+                    s_idx_append(s)
                     s_take_append(take)
                     a -= take
                     if a <= 0.0:
@@ -445,7 +430,7 @@ def _walk_tail_python(
     f_miss[cur] = mm_l
     if s_idx:
         np.add.at(
-            served_flat,
+            slot_served,
             np.asarray(s_idx, dtype=np.int64),
             np.asarray(s_take, dtype=np.float64),
         )
@@ -463,7 +448,6 @@ def _walk_tail_python(
 
 def serve_columnar(
     queries: "QueryBatch",
-    holder: np.ndarray,
     holder_dc: np.ndarray,
     csr: SlotCSR,
     tables: RouterTables,
@@ -482,11 +466,8 @@ def serve_columnar(
     """
     num_partitions = queries.num_partitions
     num_dcs = queries.num_origins
-    served_width = num_servers
-    # Row-major (P, S) cells plus one sink cell for padded drain lanes.
-    served_flat = np.zeros(num_partitions * served_width + 1, dtype=np.float64)
-    served = served_flat[:-1].reshape(num_partitions, served_width)
-    traffic = np.zeros((num_partitions, num_dcs), dtype=np.float64)
+    served_shape = (num_partitions, num_servers)
+    traffic_shape = (num_partitions, num_dcs)
     unserved = np.zeros(num_partitions, dtype=np.float64)
     holder_flow = np.zeros(num_partitions, dtype=np.float64)
     # One flow per nonzero (partition, origin) cell in row-major order —
@@ -501,9 +482,10 @@ def serve_columnar(
     if work is not None:
         work.partitions_scanned += int(active.shape[0])
     if flow_p.shape[0] == 0:
+        no_cells = np.zeros(0, dtype=np.int64)
         return ServiceResult(
-            served_server=served,
-            traffic_dc=traffic,
+            served_cells=CellMatrix(served_shape, no_cells, np.zeros(0)),
+            traffic_cells=CellMatrix(traffic_shape, no_cells, np.zeros(0)),
             unserved=unserved,
             holder_traffic=holder_flow,
             hop_sum=0.0,
@@ -520,13 +502,16 @@ def serve_columnar(
     f_hops, f_kms, f_miss = fbuf
 
     slot_rem = csr.cap_ext.copy()
+    # Served queries per slot, the sentinel last: each slot is one
+    # (partition, server) cell, so a slot adds its takes in exactly the
+    # order the scalar walk adds them to that cell.
+    slot_served = np.zeros(csr.n_slots + 1, dtype=np.float64)
     sentinel = csr.n_slots
-    sid_ext = csr.sid_ext
     amount = cell_counts.astype(np.float64)
     max_level = int(plen_f.max())
-    # Traffic contributions are collected per level and applied in one
-    # ordered scatter-add at the end: level-major, flow-minor — exactly
-    # the scalar walk's accumulation order within each partition row.
+    # Traffic contributions are collected per level and added into
+    # their cells at the end: level-major, flow-minor — exactly the
+    # scalar walk's accumulation order within each partition row.
     # Origin-rooted tables make the level-0 gather free: path[o,h,0]==o.
     if tables.origin_start:
         dc0 = flow_o
@@ -548,12 +533,9 @@ def serve_columnar(
             lo,
             run,
             has_slots,
-            flow_p,
             slot_rem,
-            sid_ext,
-            served_flat,
+            slot_served,
             sentinel,
-            served_width,
             unique_keys=tables.origin_start,
         )
         # One charge per (flow, level): everything absorbed here shares
@@ -594,8 +576,7 @@ def serve_columnar(
                 tables,
                 csr,
                 slot_rem,
-                served_flat,
-                served_width,
+                slot_served,
                 unserved,
                 f_hops,
                 f_kms,
@@ -631,8 +612,7 @@ def serve_columnar(
                             tables,
                             csr,
                             slot_rem,
-                            served_flat,
-                            served_width,
+                            slot_served,
                             unserved,
                             f_hops,
                             f_kms,
@@ -660,12 +640,9 @@ def serve_columnar(
                         lo,
                         run,
                         has_slots,
-                        part,
                         slot_rem,
-                        sid_ext,
-                        served_flat,
+                        slot_served,
                         sentinel,
-                        served_width,
                     )
                     absorbed = entry - amount
                     f_hops[cur] += absorbed * float(level)
@@ -680,15 +657,18 @@ def serve_columnar(
                     f_kms[idx] += overflow * km_f[idx, level]
                     f_miss[idx] += overflow
                     amount = np.where(blocked, 0.0, amount)
-    np.add.at(
-        traffic,
-        (np.concatenate(traffic_p), np.concatenate(traffic_dc_l)),
-        np.concatenate(traffic_am),
-    )
-    holder_flow[active] = served[active, holder[active]] + unserved[active]
+    holder_flow[active] = slot_served[csr.holder_slot[active]] + unserved[active]
+    cell_served = slot_served[csr.cell_slot]
+    served_nz = np.flatnonzero(cell_served)
     return ServiceResult(
-        served_server=served,
-        traffic_dc=traffic,
+        served_cells=CellMatrix(
+            served_shape, csr.cell_index[served_nz], cell_served[served_nz]
+        ),
+        traffic_cells=_traffic_cells(
+            traffic_shape,
+            np.concatenate(traffic_p) * num_dcs + np.concatenate(traffic_dc_l),
+            np.concatenate(traffic_am),
+        ),
         unserved=unserved,
         holder_traffic=holder_flow,
         hop_sum=float(np.sum(f_hops)),
@@ -696,6 +676,26 @@ def serve_columnar(
         sla_miss=float(np.sum(f_miss)),
         query_count=queries.total,
     )
+
+
+def _traffic_cells(
+    shape: tuple[int, int], key: np.ndarray, amount: np.ndarray
+) -> CellMatrix:
+    """Add each ``amount`` into the cell at flat index ``key``.
+
+    ``np.add.at`` adds in input order, and a stable sort keeps each
+    cell's contributions in input order, so every cell sums the same
+    values in the same order as a dense ``np.add.at`` scatter would.
+    """
+    order = np.argsort(key, kind="stable")
+    key = key[order]
+    starts = np.empty(key.shape[0], dtype=bool)
+    starts[0] = True
+    np.not_equal(key[1:], key[:-1], out=starts[1:])
+    cell = np.cumsum(starts) - 1
+    values = np.zeros(int(cell[-1]) + 1, dtype=np.float64)
+    np.add.at(values, cell, amount[order])
+    return CellMatrix(shape, key[starts], values)
 
 
 def erlang_b_vector(

@@ -444,10 +444,7 @@ class Simulation:
             obs = EpochObservation(
                 epoch=epoch,
                 queries=batch,
-                traffic_dc=result.traffic_dc,
-                served_server=result.served_server,
-                unserved=result.unserved,
-                holder_traffic=result.holder_traffic,
+                result=result,
                 blocking_probability=blocking,
                 replicas=self.replicas,
                 cluster=self.cluster,
@@ -522,7 +519,7 @@ class Simulation:
     ) -> None:
         """Feed the time-series recorder one flat row for this epoch."""
         row = dict(values)
-        per_dc = result.traffic_dc.sum(axis=0)
+        per_dc = result.traffic_cells.column_sums()
         for dc in range(per_dc.shape[0]):
             row[f"traffic_dc/{dc}"] = float(per_dc[dc])
         if self.instruments is not None:
@@ -1105,13 +1102,16 @@ class Simulation:
     # Metric-kernel hooks: the columnar engine overrides these with
     # cached-index evaluations of the same formulas (bit-identical by
     # construction); the scalar reference calls the metric module.
-    def _utilization_value(
-        self, served_server: np.ndarray, counts: np.ndarray, capacities: np.ndarray
-    ) -> float:
-        return average_utilization(served_server, counts, capacities)
-
-    def _load_cv_value(self, served_server: np.ndarray, counts: np.ndarray) -> float:
-        return replica_load_cv(served_server, counts)
+    def _served_metrics(
+        self, result: ServiceResult, counts: np.ndarray, capacities: np.ndarray
+    ) -> tuple[float, float, float]:
+        """Total served, Eq. 21 utilization and normalised Eq. 26 load CV."""
+        served = result.served_server
+        return (
+            float(served.sum()),
+            average_utilization(served, counts, capacities),
+            replica_load_cv(served, counts),
+        )
 
     def _server_imbalance_value(
         self, per_server_load: np.ndarray, alive_mask: np.ndarray
@@ -1138,10 +1138,9 @@ class Simulation:
             float(batch.total),
         )
         total_replicas = self._total_replicas()
+        served, utilization, load_cv = self._served_metrics(result, counts, capacities)
         values = {
-                "utilization": self._utilization_value(
-                    result.served_server, counts, capacities
-                ),
+                "utilization": utilization,
                 "total_replicas": float(total_replicas),
                 "avg_replicas": total_replicas / self.replicas.num_partitions,
                 "replication_count": applied["replication_count"],
@@ -1149,7 +1148,7 @@ class Simulation:
                 "migration_count": applied["migration_count"],
                 "migration_cost": applied["migration_cost"],
                 "suicide_count": applied["suicide_count"],
-                "load_imbalance": self._load_cv_value(result.served_server, counts),
+                "load_imbalance": load_cv,
                 "server_load_imbalance": self._server_imbalance_value(
                     result.per_server_load, alive_mask
                 ),
@@ -1157,7 +1156,7 @@ class Simulation:
                 "mean_latency_ms": latency.mean_ms,
                 "sla_attainment": latency.sla_attainment,
                 "unserved": float(result.unserved.sum()),
-                "served": result.total_served,
+                "served": served,
                 "queries": float(batch.total),
                 "alive_servers": float(self._alive_server_count()),
                 "mean_availability": summary.mean_availability,

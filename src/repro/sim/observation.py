@@ -6,8 +6,9 @@ all mutation.  The observation bundles everything any of the four
 algorithms consults:
 
 * the raw query matrix ``q_ijt`` (Eq. 9 inputs),
-* the per-(partition, datacenter) traffic ``tr_ikt`` (Eq. 8 outputs),
-* per-(partition, server) served counts (utilization, Eq. 20 inputs),
+* the epoch's service result: per-(partition, datacenter) traffic
+  ``tr_ikt`` (Eq. 8 outputs) and per-(partition, server) served counts
+  (utilization, Eq. 20 inputs), both kept as their nonzero cells,
 * per-server blocking probabilities (Eq. 18),
 * replica layout, cluster and router references (read-only by contract),
 * the availability floor ``r_min`` (Eq. 14) and the RFH parameters.
@@ -16,6 +17,7 @@ algorithms consults:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -24,6 +26,9 @@ from ..cluster.replicas import ReplicaMap
 from ..config import RFHParameters
 from ..net.routing import Router
 from ..workload.query import QueryBatch
+
+if TYPE_CHECKING:
+    from ..core.traffic import ServiceResult
 
 __all__ = ["EpochObservation"]
 
@@ -38,22 +43,11 @@ class EpochObservation:
         The epoch index just served.
     queries:
         The epoch's query matrix (``q_ijt``; partitions x datacenters).
-    traffic_dc:
-        ``(P, D)`` array: traffic of each datacenter for each partition
-        this epoch (Eq. 8 — the flow *arriving* at the datacenter after
-        upstream replicas absorbed their share; the serving site's own
-        service is not subtracted).
-    served_server:
-        ``(P, S)`` array: queries of partition ``i`` served by server
-        ``sid`` this epoch.  ``S`` is ``cluster.num_servers`` (dead
-        servers' columns are zero).
-    unserved:
-        Length-``P`` array: queries that overflowed every replica
-        *including* the holder (blocked this epoch).
-    holder_traffic:
-        Length-``P`` array: Eq. 12's ``tr_iit`` — the flow that reached
-        the holder *server* itself after every other replica on the
-        path (including co-located ones) absorbed its share.
+    result:
+        The epoch's service outcome.  Its traffic and served matrices
+        are kept as their nonzero cells; :attr:`traffic_dc`,
+        :attr:`served_server`, :attr:`unserved` and
+        :attr:`holder_traffic` read them from here.
     blocking_probability:
         Length-``S`` array: each server's Erlang-B blocking probability
         estimate (Eq. 18), 1.0 for dead servers.
@@ -76,10 +70,7 @@ class EpochObservation:
 
     epoch: int
     queries: QueryBatch
-    traffic_dc: np.ndarray
-    served_server: np.ndarray
-    unserved: np.ndarray
-    holder_traffic: np.ndarray
+    result: ServiceResult
     blocking_probability: np.ndarray
     replicas: ReplicaMap
     cluster: Cluster
@@ -91,6 +82,34 @@ class EpochObservation:
     # ------------------------------------------------------------------
     # Convenience queries shared by several policies
     # ------------------------------------------------------------------
+    @property
+    def traffic_dc(self) -> np.ndarray:
+        """``(P, D)`` Eq. 8 traffic — the flow *arriving* at each
+        datacenter after upstream replicas absorbed their share (the
+        serving site's own service is not subtracted).  Rebuilt dense
+        from the cells on every access."""
+        return self.result.traffic_dc
+
+    @property
+    def served_server(self) -> np.ndarray:
+        """``(P, S)`` queries of partition ``i`` served by server ``sid``;
+        ``S`` is ``cluster.num_servers`` (dead servers' columns are
+        zero).  Rebuilt dense from the cells on every access."""
+        return self.result.served_server
+
+    @property
+    def unserved(self) -> np.ndarray:
+        """Length-``P``: queries that overflowed every replica
+        *including* the holder (blocked this epoch)."""
+        return self.result.unserved
+
+    @property
+    def holder_traffic(self) -> np.ndarray:
+        """Length-``P``: Eq. 12's ``tr_iit`` — the flow that reached the
+        holder *server* itself after every other replica on the path
+        (including co-located ones) absorbed its share."""
+        return self.result.holder_traffic
+
     @property
     def num_partitions(self) -> int:
         return self.queries.num_partitions
@@ -109,4 +128,4 @@ class EpochObservation:
 
     def partition_traffic_mean(self, partition: int) -> float:
         """Eq. 17: average traffic of all datacenters for one partition."""
-        return float(self.traffic_dc[partition].mean())
+        return float(self.result.traffic_cells.row(partition).mean())

@@ -10,16 +10,19 @@ every kernel code path (the serve kernel picks between python and
 vectorized drain/tail branches by survivor count), the exported metric
 CSVs and the decision-provenance ledgers, a 2,000-partition RFH run on
 a 100-site ring, a sparse 2,000-partition run whose work counters must
-match too, plus a hypothesis sweep over random small clusters.
+match too, plus hypothesis sweeps over random small clusters and over
+the cell-backed service result's reductions.
 """
 
 from __future__ import annotations
 
 import dataclasses
 
+import numpy as np
 import pytest
 
 from repro.config import ClusterParameters, SimulationConfig, WorkloadParameters
+from repro.core.traffic import CellMatrix
 from repro.experiments.runner import run_experiment
 from repro.experiments.scenarios import (
     Scenario,
@@ -71,14 +74,13 @@ DIFFERENTIAL_HOOKS = (
     "_alive_server_count",
     "_availability_summary",
     "_blocking_probabilities",
-    "_load_cv_value",
     "_replica_count_matrix",
     "_restore_lost_partitions",
     "_serve_epoch",
     "_server_capacity_array",
     "_server_imbalance_value",
+    "_served_metrics",
     "_total_replicas",
-    "_utilization_value",
 )
 
 
@@ -348,3 +350,70 @@ else:  # pragma: no cover - hypothesis ships with the image
     @pytest.mark.skip(reason="hypothesis is not installed")
     def test_random_small_clusters_are_equivalent() -> None:
         pass
+
+
+@pytest.fixture(scope="module")
+def warm_columnar() -> ColumnarSimulation:
+    """A columnar RFH run past its growth burst at 256 partitions."""
+    sim = ColumnarSimulation(_small_config(7, partitions=256, rate=1000.0), policy="rfh")
+    sim.run(6)
+    return sim
+
+
+if given is not None:
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        density=st.sampled_from((0.0, 0.1, 0.5, 1.0)),
+        strays=st.integers(min_value=0, max_value=20),
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+    )
+    def test_served_metrics_match_the_dense_formulas(
+        warm_columnar: ColumnarSimulation, density: float, strays: int, seed: int
+    ) -> None:
+        """The columnar ``_served_metrics`` fed served cells equals the
+        scalar hook on the dense matrix bit for bit — total served (the
+        dense ``sum()``), Eq. 21 utilization and the Eq. 26 load CV —
+        and leaves its scratch all zero.  ``strays`` served cells sit
+        where no copy is left (the apply phase removed it after serve)."""
+        sim = warm_columnar
+        rng = np.random.default_rng(seed)
+        counts = sim._replica_count_matrix()
+        capacities = sim._server_capacity_array()
+        served = np.zeros(counts.shape)
+        copies = np.nonzero(counts)
+        pick = rng.random(copies[0].shape[0]) < density
+        limit = counts[copies][pick] * capacities[copies[1][pick]]
+        served[copies[0][pick], copies[1][pick]] = limit * rng.random(limit.shape)
+        empty = np.flatnonzero(counts == 0)
+        stray = rng.choice(empty, size=min(strays, empty.shape[0]), replace=False)
+        served.reshape(-1)[stray] = rng.exponential(5.0, stray.shape[0])
+        result = dataclasses.replace(
+            sim.last_result, served_cells=CellMatrix.from_dense(served)
+        )
+        got = sim._served_metrics(result, counts, capacities)
+        want = Simulation._served_metrics(
+            sim, result, counts.astype(np.int64), capacities
+        )
+        assert np.array(got).view(np.int64).tolist() == np.array(want).view(np.int64).tolist()
+        assert got[0] == float(served.sum())
+        assert not sim._fills.any()
+
+    @settings(max_examples=50, deadline=None)
+    @given(
+        flows=st.integers(min_value=1, max_value=400),
+        cells=st.integers(min_value=1, max_value=35),
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+    )
+    def test_traffic_cells_add_in_scatter_order(flows: int, cells: int, seed: int) -> None:
+        """Each traffic cell adds its contributions in input order, as a
+        dense ``np.add.at`` scatter does; amounts over 16 orders of
+        magnitude make any other order show in the bits."""
+        rng = np.random.default_rng(seed)
+        key = rng.choice(rng.choice(35, size=cells, replace=False), size=flows)
+        amount = rng.exponential(1.0, flows) * 10.0 ** rng.uniform(-8.0, 8.0, flows)
+        dense = np.zeros(35)
+        np.add.at(dense, key, amount)
+        got = columnar_kernels._traffic_cells((7, 5), key, amount)
+        assert got.index.tolist() == np.flatnonzero(dense).tolist()
+        assert got.dense().reshape(-1).view(np.int64).tolist() == dense.view(np.int64).tolist()

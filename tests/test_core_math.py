@@ -16,7 +16,8 @@ from repro.core.availability import (
     min_replicas_for_availability,
 )
 from repro.core.blocking import offered_load, server_blocking_probabilities
-from repro.core.smoothing import EWMA_BLOCK_ROWS, ewma_update_rows
+from repro.core.smoothing import EWMA_BLOCK_ROWS, ewma_update_cells, ewma_update_rows
+from repro.core.traffic import CellMatrix
 from repro.core.thresholds import (
     blocked_tolerance,
     is_blocked,
@@ -155,10 +156,10 @@ class TestBlockedEwma:
         policy = RFHPolicy(RFHParameters(alpha=alpha))
         traffic = [_raw_matrix(rng, "int64", (rows, 3)) for _ in range(2)]
         served = [rng.exponential(5.0, (rows, 3)), rng.exponential(5.0, (rows, 3 + grow))]
-        policy._update_traffic(traffic[0])
-        policy._update_served(served[0])
-        out_traffic = policy._update_traffic(traffic[1])
-        out_served = policy._update_served(served[1])
+        policy._update_traffic(CellMatrix.from_dense(traffic[0]))
+        policy._update_served(CellMatrix.from_dense(served[0]))
+        out_traffic = policy._update_traffic(CellMatrix.from_dense(traffic[1]))
+        out_served = policy._update_served(CellMatrix.from_dense(served[1]))
         expected = _unblocked_ewma(traffic[0].astype(np.float64), traffic[1], alpha)
         assert _same_bits(out_traffic, expected)
         padded = np.zeros((rows, 3 + grow))
@@ -184,6 +185,77 @@ class TestBlockedEwma:
             else:
                 expected = _unblocked_ewma(expected, raw, alpha)
             assert _same_bits(out, expected)
+
+
+def _cell_state(rng: np.random.Generator, shape: tuple[int, ...]) -> np.ndarray:
+    """A smoothed state with exact zeros and subnormals among its values."""
+    state = rng.exponential(40.0, shape)
+    pick = rng.random(shape)
+    state[pick < 0.2] = 0.0
+    tiny = pick > 0.8
+    state[tiny] = rng.integers(1, 2**20, int(tiny.sum())) * 5e-324
+    return state
+
+
+def _cell_raw(rng: np.random.Generator, shape: tuple[int, ...], density: float) -> np.ndarray:
+    raw = rng.exponential(40.0, shape)
+    return np.where(rng.random(shape) < density, raw, 0.0)
+
+
+class TestCellEwma:
+    """:func:`ewma_update_cells` is :func:`ewma_update_rows` on the dense
+    raw sample, bit for bit."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        rows=st.sampled_from(BLOCK_EDGE_ROWS),
+        cols=st.integers(min_value=1, max_value=4),
+        alpha=st.floats(min_value=0.01, max_value=0.99),
+        density=st.sampled_from((0.0, 0.05, 0.5, 1.0)),
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+    )
+    def test_matches_dense_update(self, rows, cols, alpha, density, seed):
+        """Block-edge row counts, no cells to every cell, three updates
+        in a row on a state holding zeros and subnormals."""
+        rng = np.random.default_rng(seed)
+        dense = _cell_state(rng, (rows, cols))
+        cells = dense.copy()
+        for _ in range(3):
+            raw = _cell_raw(rng, (rows, cols), density)
+            sample = CellMatrix.from_dense(raw)
+            ewma_update_rows(dense, raw, alpha)
+            assert ewma_update_cells(cells, sample.index, sample.values, alpha) is cells
+            assert _same_bits(cells, dense)
+
+    @settings(max_examples=15, deadline=None)
+    @given(
+        rows=st.sampled_from(BLOCK_EDGE_ROWS),
+        grow=st.integers(min_value=1, max_value=3),
+        alpha=st.floats(min_value=0.01, max_value=0.99),
+        density=st.sampled_from((0.0, 0.05, 1.0)),
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+    )
+    def test_policy_served_state_through_server_growth(
+        self, rows, grow, alpha, density, seed
+    ):
+        """RFHPolicy's served EWMA fed cells, against the dense update of
+        the padded state, across a server axis grown by joins."""
+        rng = np.random.default_rng(seed)
+        policy = RFHPolicy(RFHParameters(alpha=alpha))
+        first = _cell_raw(rng, (rows, 3), density)
+        policy._update_served(CellMatrix.from_dense(first))
+        expected = np.zeros((rows, 3 + grow))
+        expected[:, :3] = first
+        for _ in range(2):  # the first update grows the axis
+            raw = _cell_raw(rng, (rows, 3 + grow), density)
+            out = policy._update_served(CellMatrix.from_dense(raw))
+            ewma_update_rows(expected, raw, alpha)
+            assert _same_bits(out, expected)
+
+    def test_rejects_a_strided_state(self):
+        state = np.zeros((4, 6))[:, ::2]
+        with pytest.raises(ValueError, match="C-contiguous"):
+            ewma_update_cells(state, np.array([0]), np.array([1.0]), 0.2)
 
 
 class TestThresholds:

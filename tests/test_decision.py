@@ -10,6 +10,7 @@ from repro.core.decision import (
     RFHDecision,
     SUICIDE_IDLE_BAR,
 )
+from repro.core.traffic import CellMatrix, ServiceResult
 from repro.sim.actions import Migrate, Replicate, Suicide
 from repro.sim.observation import EpochObservation
 from repro.workload import QueryBatch
@@ -38,19 +39,29 @@ def world(cluster, router, params):
         epoch=50,
     ) -> EpochObservation:
         queries = QueryBatch(epoch, np.zeros((1, 10), dtype=np.int64))
-        return EpochObservation(
-            epoch=epoch,
-            queries=queries,
-            traffic_dc=np.asarray(
-                [traffic if traffic is not None else np.zeros(10)], dtype=np.float64
-            ).reshape(1, 10),
-            served_server=(
+        result = ServiceResult(
+            served_cells=CellMatrix.from_dense(
                 served.reshape(1, -1)
                 if served is not None
                 else np.zeros((1, cluster.num_servers))
             ),
+            traffic_cells=CellMatrix.from_dense(
+                np.asarray(
+                    [traffic if traffic is not None else np.zeros(10)],
+                    dtype=np.float64,
+                ).reshape(1, 10)
+            ),
             unserved=np.array([unserved]),
             holder_traffic=np.array([holder_traffic]),
+            hop_sum=0.0,
+            distance_sum_km=0.0,
+            sla_miss=0.0,
+            query_count=0,
+        )
+        return EpochObservation(
+            epoch=epoch,
+            queries=queries,
+            result=result,
             blocking_probability=(
                 blocking if blocking is not None else np.zeros(cluster.num_servers)
             ),

@@ -1,10 +1,9 @@
 """Memory guards: each partition × site matrix on the RFH path exists once.
 
 M below is one dense ``(P, S)`` float64 matrix.  RFH's own state is two
-such matrices — the Eq. 11 traffic EWMA and the served EWMA — and an
-epoch step allocates the new service result while the previous result
-is already released.  The epoch's query batch keeps only its nonzero
-cells, and the replica mirror holds int32 counts (half an M).
+such matrices — the Eq. 11 traffic EWMA and the served EWMA.  The
+epoch's query batch and service result keep only their nonzero cells,
+and the replica mirror holds int32 counts (half an M).
 """
 
 from __future__ import annotations
@@ -16,6 +15,7 @@ import numpy as np
 
 from repro.config import ClusterParameters, SimulationConfig, WorkloadParameters
 from repro.core import RFHPolicy
+from repro.core.traffic import CellMatrix
 from repro.geo import build_synthetic_hierarchy
 from repro.net import build_ring_wan
 from repro.sim.columnar import ColumnarSimulation
@@ -29,9 +29,9 @@ MB = 1 << 20
 def test_policy_retains_only_its_two_ewma_states() -> None:
     """Two traffic + served updates keep 2·M, not a scratch copy each."""
     rng = np.random.default_rng(5)
-    traffic = rng.exponential(3.0, (4000, 100))
-    served = rng.exponential(3.0, (4000, 100))
-    matrix = traffic.nbytes
+    traffic = CellMatrix.from_dense(rng.exponential(3.0, (4000, 100)))
+    served = CellMatrix.from_dense(rng.exponential(3.0, (4000, 100)))
+    matrix = traffic.shape[0] * traffic.shape[1] * 8
     policy = RFHPolicy()
     gc.collect()
     tracemalloc.start()
@@ -84,6 +84,43 @@ def test_columnar_step_peak_stays_within_two_matrices() -> None:
     finally:
         tracemalloc.stop()
     assert rise <= matrix, f"step peak rose {rise / matrix:.2f} M"
+
+
+def test_last_result_keeps_only_its_cells() -> None:
+    """After a warm epoch on the 100-site ring, the service result the
+    engine keeps in ``last_result`` holds at most 0.1·M: its served and
+    traffic cells and two length-P vectors, not two dense matrices."""
+    hierarchy = build_synthetic_hierarchy(100)
+    config = SimulationConfig(
+        seed=11,
+        cluster=ClusterParameters(
+            rooms_per_datacenter=1, racks_per_room=1, servers_per_rack=1
+        ),
+        workload=WorkloadParameters(
+            queries_per_epoch_mean=2000.0, num_partitions=4000
+        ),
+    )
+    sim = ColumnarSimulation(
+        config,
+        policy="rfh",
+        hierarchy=hierarchy,
+        wan=build_ring_wan(hierarchy),
+        invariants=False,
+    )
+    sim.run(4)
+    matrix = config.workload.num_partitions * sim.cluster.num_servers * 8
+    gc.collect()
+    tracemalloc.start()
+    try:
+        sim.step()
+        gc.collect()
+        held = tracemalloc.get_traced_memory()[0]
+        sim.last_result = None
+        gc.collect()
+        retained = held - tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert retained <= 0.1 * matrix, f"last_result retained {retained / matrix:.2f} M"
 
 
 def test_generated_batch_keeps_only_its_cells() -> None:

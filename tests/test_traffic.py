@@ -2,8 +2,10 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from repro.core.traffic import serve_epoch
+from repro.core.traffic import CellMatrix, ServiceResult, serve_epoch
 from repro.errors import SimulationError
 from repro.net import Router, WanGraph
 from repro.workload import QueryBatch
@@ -144,3 +146,77 @@ class TestOnDefaultWan:
         result = serve_epoch(batch, [0], [layout], router, 100, holder_sid=[0])
         assert result.served_server[0, 40] == 25.0
         assert result.holder_traffic[0] == pytest.approx(5.0)
+
+
+def _sparse_matrix(seed: int, shape: tuple[int, int], density: float) -> np.ndarray:
+    """Non-negative values over ~18 orders of magnitude (so the order of
+    a sum shows in its bits), zero outside a random ``density`` share."""
+    rng = np.random.default_rng(seed)
+    values = rng.exponential(1.0, shape) * 10.0 ** rng.uniform(-9.0, 9.0, shape)
+    return np.where(rng.random(shape) < density, values, 0.0)
+
+
+def _same_bits(a: np.ndarray, b: np.ndarray) -> bool:
+    return a.dtype == b.dtype == np.float64 and np.array_equal(
+        a.view(np.int64), b.view(np.int64)
+    )
+
+
+def _result(served: CellMatrix) -> ServiceResult:
+    rows = served.shape[0]
+    return ServiceResult(
+        served_cells=served,
+        traffic_cells=CellMatrix((rows, 1), np.zeros(0, dtype=np.int64), np.zeros(0)),
+        unserved=np.zeros(rows),
+        holder_traffic=np.zeros(rows),
+        hop_sum=0.0,
+        distance_sum_km=0.0,
+        sla_miss=0.0,
+        query_count=0,
+    )
+
+
+SHAPE = st.tuples(
+    st.sampled_from((1, 2, 7, 64, 1025)), st.sampled_from((1, 2, 3, 10, 100))
+)
+DENSITY = st.sampled_from((0.0, 0.01, 0.3, 1.0))
+SEED = st.integers(min_value=0, max_value=2**32 - 1)
+
+
+class TestCellMatrix:
+    """The served and traffic matrices kept as cells read back bit for bit."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(shape=SHAPE, density=DENSITY, seed=SEED)
+    def test_cells_round_trip_to_the_dense_matrix(self, shape, density, seed):
+        dense = _sparse_matrix(seed, shape, density)
+        cells = CellMatrix.from_dense(dense)
+        assert cells.shape == shape
+        assert np.array_equal(cells.index, np.flatnonzero(dense))
+        assert np.all(cells.values != 0.0)
+        assert _same_bits(cells.dense(), dense)
+        for row in {0, shape[0] // 2, shape[0] - 1}:
+            assert _same_bits(cells.row(row), dense[row])
+        with pytest.raises(ValueError):
+            cells.values[:1] = 1.0  # read-only, like the query batch
+
+    @settings(max_examples=120, deadline=None)
+    @given(shape=SHAPE, density=DENSITY, seed=SEED)
+    def test_per_server_load_is_the_dense_column_sum(self, shape, density, seed):
+        """Including S = 1, where numpy sums the column pairwise, and
+        P = 1."""
+        dense = _sparse_matrix(seed, shape, density)
+        result = _result(CellMatrix.from_dense(dense))
+        assert _same_bits(result.per_server_load, dense.sum(axis=0))
+        assert _same_bits(result.served_server, dense)
+        assert result.total_served == float(dense.sum())
+
+    def test_scalar_walk_returns_its_cells(self, line_router):
+        batch = _batch([[4, 1, 2, 3], [5, 0, 1, 0]])
+        layouts = [{1: [(1, 2.0)], 3: [(3, 1.0)]}, {0: [(0, 3.0)]}]
+        result = serve_epoch(batch, [3, 0], layouts, line_router, 4)
+        assert result.served_cells.index.tolist() == [1, 3, 4]
+        assert result.served_cells.values.tolist() == [2.0, 1.0, 3.0]
+        assert result.traffic_cells.shape == (2, 4)
+        assert np.all(result.traffic_cells.values > 0.0)
+        assert _same_bits(result.traffic_cells.dense(), result.traffic_dc)
