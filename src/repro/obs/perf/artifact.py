@@ -25,6 +25,7 @@ from __future__ import annotations
 import json
 import pathlib
 from dataclasses import dataclass, field
+from typing import Any
 
 from ...errors import ReproError
 
@@ -36,6 +37,17 @@ PROF_VERSION = 1
 
 class ProfileError(ReproError):
     """A profile artifact could not be read or is malformed."""
+
+
+def _section(payload: dict[str, object], key: str, kind: type) -> Any:
+    """A copy of one top-level section; absent or empty reads as empty."""
+    value = payload.get(key) or kind()
+    if not isinstance(value, kind):
+        raise ProfileError(
+            f"{PROF_FORMAT} field {key!r} must be a JSON "
+            f"{'object' if kind is dict else 'array'}, got {type(value).__name__}"
+        )
+    return kind(value)
 
 
 @dataclass
@@ -99,20 +111,20 @@ class PerfProfile:
                 f"(this build reads version {PROF_VERSION})"
             )
         return cls(
-            meta=dict(payload.get("meta") or {}),
-            phases=dict(payload.get("phases") or {}),
-            nodes=list(payload.get("nodes") or []),
-            counters=dict(payload.get("counters") or {}),
-            allocations=dict(payload.get("allocations") or {}),
+            meta=_section(payload, "meta", dict),
+            phases=_section(payload, "phases", dict),
+            nodes=_section(payload, "nodes", list),
+            counters=_section(payload, "counters", dict),
+            allocations=_section(payload, "allocations", dict),
         )
 
     @classmethod
     def load(cls, path: str | pathlib.Path) -> "PerfProfile":
         try:
-            payload = json.loads(pathlib.Path(path).read_text())
+            payload = json.loads(pathlib.Path(path).read_text(encoding="utf-8"))
         except OSError as exc:
             raise ProfileError(f"cannot read {path}: {exc}") from exc
-        except json.JSONDecodeError as exc:
+        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
             raise ProfileError(f"{path} is not valid JSON: {exc}") from exc
         return cls.from_dict(payload)
 

@@ -246,8 +246,8 @@ class ProvArtifact:
         format problem (including a file that is not JSON at all)."""
         path = pathlib.Path(path)
         try:
-            raw = json.loads(path.read_text())
-        except (OSError, json.JSONDecodeError) as exc:
+            raw = json.loads(path.read_text(encoding="utf-8"))
+        except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
             raise ProvenanceError(
                 f"cannot read provenance artifact {path}: {exc}"
             ) from exc

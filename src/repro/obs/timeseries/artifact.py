@@ -184,7 +184,7 @@ class TsdbArtifact:
         format problem (including a file that is not JSON at all)."""
         path = pathlib.Path(path)
         try:
-            raw = json.loads(path.read_text())
-        except (OSError, json.JSONDecodeError) as exc:
+            raw = json.loads(path.read_text(encoding="utf-8"))
+        except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
             raise TsdbError(f"cannot read tsdb artifact {path}: {exc}") from exc
         return cls.from_dict(raw)

@@ -79,7 +79,7 @@ class Baseline:
             payload = json.loads(Path(path).read_text(encoding="utf-8"))
         except OSError as exc:
             raise BaselineError(f"cannot read baseline {path}: {exc}") from exc
-        except json.JSONDecodeError as exc:
+        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
             raise BaselineError(f"baseline {path} is not valid JSON: {exc}") from exc
         if not isinstance(payload, dict) or payload.get("format") != _FORMAT:
             raise BaselineError(

@@ -168,7 +168,7 @@ class FingerprintTrail:
             payload = json.loads(Path(path).read_text(encoding="utf-8"))
         except OSError as exc:
             raise FingerprintError(f"cannot read {path}: {exc}") from exc
-        except json.JSONDecodeError as exc:
+        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
             raise FingerprintError(f"{path} is not valid JSON: {exc}") from exc
         return cls.from_dict(payload)
 

@@ -163,7 +163,7 @@ class SweepArtifact:
     def load(cls, path: str | pathlib.Path) -> "SweepArtifact":
         path = pathlib.Path(path)
         try:
-            raw = json.loads(path.read_text())
-        except (OSError, json.JSONDecodeError) as exc:
+            raw = json.loads(path.read_text(encoding="utf-8"))
+        except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
             raise SweepError(f"cannot read sweep artifact {path}: {exc}") from exc
         return cls.from_dict(raw)
