@@ -27,8 +27,8 @@ from __future__ import annotations
 
 import multiprocessing
 import pathlib
-import queue
 import traceback
+from multiprocessing.connection import Connection, wait
 
 from ..obs.fleet.events import (
     CELL_FAILED,
@@ -113,12 +113,17 @@ def _run_parallel(
     failures: list[dict],
     max_workers: int,
 ) -> None:
-    """Fan pending cells across worker processes with a crash watchdog."""
+    """Fan pending cells across worker processes with a crash watchdog.
+
+    Each worker sends its events down its own pipe (see
+    :func:`~repro.sweep.worker.worker_main`), so a worker that dies
+    mid-send cannot silence the others; its pipe simply reads as closed.
+    """
     ctx = _mp_context()
     task_q = ctx.Queue()
-    event_q = ctx.Queue()
     lanes = min(max_workers, len(pending))
     procs: dict[int, object] = {}
+    readers: dict[Connection, int] = {}  # open event pipe -> worker id
     clean_exit: set[int] = set()
     in_flight: dict[int, int] = {}  # worker id -> cell index
     next_worker = 0
@@ -128,17 +133,21 @@ def _run_parallel(
         nonlocal next_worker
         worker_id = next_worker
         next_worker += 1
+        reader, writer = ctx.Pipe(duplex=False)
         proc = ctx.Process(
             target=worker_main,
-            args=(worker_id, task_q, event_q, str(sweep_dir), cells, options),
+            args=(worker_id, task_q, writer, str(sweep_dir), cells, options),
             daemon=True,
         )
         proc.start()
+        # The worker now holds the only send end, so its exit reads as EOF.
+        writer.close()
         procs[worker_id] = proc
+        readers[reader] = worker_id
 
     # Teardown lives in the finally so an exception mid-orchestration
     # (progress callback, corrupt event) still reaps every worker and
-    # both queue feeder threads instead of hanging interpreter exit.
+    # the task queue's feeder thread instead of hanging interpreter exit.
     try:
         for index in pending:
             task_q.put(index)
@@ -148,11 +157,15 @@ def _run_parallel(
         done = 0
         target = len(pending)
         while done < target:
-            try:
-                event = event_q.get(timeout=0.5)
-            except queue.Empty:
-                event = None
-            if event is not None:
+            events = []
+            for reader in wait(list(readers), timeout=0.5):
+                assert isinstance(reader, Connection)
+                try:
+                    events.append(reader.recv())
+                except (EOFError, OSError):  # worker gone, maybe mid-send
+                    del readers[reader]
+                    reader.close()
+            for event in events:
                 kind = event.get("kind")
                 worker = int(event.get("worker", -1))
                 if kind == CELL_STARTED:
@@ -168,9 +181,10 @@ def _run_parallel(
                 elif kind == WORKER_EXITED:
                     clean_exit.add(worker)
                 progress.handle(event)
+            if events:
                 continue
 
-            # Queue idle: watchdog pass over the pool.
+            # No events: watchdog pass over the pool.
             crashed = [
                 worker_id
                 for worker_id, proc in procs.items()
@@ -199,13 +213,13 @@ def _run_parallel(
                     _spawn()
             if crashed:
                 continue
-            # No events, no crashes: if every worker is gone the
-            # remaining cells can never complete — book them as lost
-            # and stop waiting.
-            if all(
+            # No events, no crashes: if every worker is gone and every
+            # pipe is read to its end, the remaining cells can never
+            # complete — book them as lost and stop waiting.
+            if not readers and all(
                 worker_id in clean_exit or not proc.is_alive()  # type: ignore[attr-defined]
                 for worker_id, proc in procs.items()
-            ) and event_q.empty():
+            ):
                 failed_ids = {f.get("cell_id") for f in failures}
                 for index in pending:
                     if index in records:
@@ -228,14 +242,9 @@ def _run_parallel(
             if proc.is_alive():  # type: ignore[attr-defined]
                 proc.terminate()  # type: ignore[attr-defined]
                 proc.join(timeout=1.0)  # type: ignore[attr-defined]
-        # Drain so queue feeder threads never block interpreter exit.
-        while True:
-            try:
-                event_q.get_nowait()
-            except queue.Empty:
-                break
+        for reader in readers:
+            reader.close()
         task_q.close()
-        event_q.close()
 
 
 def run_sweep(

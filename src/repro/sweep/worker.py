@@ -262,7 +262,7 @@ def classify_failure(exc: Exception) -> str:
 def worker_main(
     worker_id: int,
     task_q,
-    event_q,
+    events,
     sweep_dir: str,
     cells: tuple[SweepCell, ...],
     options: dict,
@@ -273,15 +273,26 @@ def worker_main(
     worker starts, so an ``Empty`` timeout is an unambiguous "no work
     left" signal — robust even when sibling workers crash, unlike
     sentinel schemes where a dead worker's sentinel can strand cells.
+
+    ``events`` is the send end of this worker's own pipe to the
+    orchestrator.  Each event is sent synchronously under a lock private
+    to this process, so a worker that dies mid-send cuts only its own
+    pipe short; a queue shared by all workers would keep its cross-process
+    write lock held by the dead worker and silence every other worker.
     """
     state = {"cell_id": None, "started": wall_clock_now(), "cells_run": 0}
     stop = threading.Event()
+    send_lock = threading.Lock()
+
+    def emit(event: dict) -> None:
+        with send_lock:
+            events.send(event)
 
     def _beat() -> None:
         interval = float(options.get("heartbeat_s", HEARTBEAT_INTERVAL_S))
         while not stop.wait(interval):
             try:
-                event_q.put(
+                emit(
                     heartbeat(
                         worker_id,
                         state["cell_id"],
@@ -289,10 +300,10 @@ def worker_main(
                         state["cells_run"],
                     )
                 )
-            except (OSError, ValueError):  # queue torn down mid-beat
+            except (OSError, ValueError):  # pipe torn down mid-beat
                 return
 
-    event_q.put(worker_started(worker_id))
+    emit(worker_started(worker_id))
     beat = threading.Thread(target=_beat, daemon=True)
     beat.start()
     try:
@@ -304,11 +315,11 @@ def worker_main(
             cell = cells[index]
             state["cell_id"] = cell.cell_id
             state["started"] = wall_clock_now()
-            event_q.put(cell_started(worker_id, index, cell.cell_id))
+            emit(cell_started(worker_id, index, cell.cell_id))
             try:
                 record = execute_cell(cell, sweep_dir, options, worker_id)
             except Exception as exc:
-                event_q.put(
+                emit(
                     cell_failed(
                         worker_id,
                         index,
@@ -323,13 +334,13 @@ def worker_main(
                     )
                 )
             else:
-                event_q.put(cell_finished(worker_id, index, cell.cell_id, record))
+                emit(cell_finished(worker_id, index, cell.cell_id, record))
             state["cell_id"] = None
             state["cells_run"] += 1
     finally:
         stop.set()
         # Bounded join: the beat loop wakes from stop.wait() within one
         # interval; the timeout guards against a beat blocked on a full
-        # event queue so worker exit can never hang on its own heartbeat.
+        # pipe so worker exit can never hang on its own heartbeat.
         beat.join(timeout=2.0)
-        event_q.put(worker_exited(worker_id, state["cells_run"]))
+        emit(worker_exited(worker_id, state["cells_run"]))
