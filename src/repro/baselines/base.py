@@ -1,10 +1,12 @@
 """Shared baseline machinery.
 
-Every algorithm in the comparison needs the same two smoothed signals —
-the per-partition average query rate (Eqs. 9–10) and the per-(partition,
-datacenter) traffic (Eqs. 8, 11) — and the same Eq. 12 overload test.
-:class:`SmoothedSignals` packages that state so the three baselines and
-any future policy stay signal-compatible with RFH.
+Every algorithm in the comparison needs the same Eq. 12 overload test
+over the same smoothed signals: the per-partition average query rate
+(Eqs. 9–10), the traffic reaching the holder (Eq. 11) and the blocked
+queries.  :class:`SmoothedSignals` packages that state so the three
+baselines and any future policy stay signal-compatible with RFH.  No
+baseline reads the per-(partition, datacenter) traffic, so it is not
+smoothed here.
 """
 
 from __future__ import annotations
@@ -26,7 +28,6 @@ class EpochSignals:
     """The smoothed signals for one epoch."""
 
     avg_query: np.ndarray  # (P,)   Eq. 10
-    traffic: np.ndarray  # (P, D)  Eq. 11 over datacenters
     holder_traffic: np.ndarray  # (P,)   Eq. 11 over the holder server
     raw_holder_traffic: np.ndarray  # (P,)  this epoch, unsmoothed
     unserved: np.ndarray  # (P,)   smoothed blocked queries
@@ -58,19 +59,16 @@ class SmoothedSignals:
     def __init__(self, params: RFHParameters) -> None:
         self._params = params
         self._avg_query = Ewma(params.alpha)
-        self._traffic = Ewma(params.alpha)
         self._holder_traffic = Ewma(params.alpha)
         self._unserved = Ewma(params.alpha)
 
     def update(self, obs: EpochObservation) -> EpochSignals:
         """Fold one epoch's observation in; returns this epoch's signals."""
         avg_query = np.asarray(self._avg_query.update(obs.system_average_query()))
-        traffic = np.asarray(self._traffic.update(obs.traffic_dc))
         holder_traffic = np.asarray(self._holder_traffic.update(obs.holder_traffic))
         unserved = np.asarray(self._unserved.update(obs.unserved))
         return EpochSignals(
             avg_query=avg_query,
-            traffic=traffic,
             holder_traffic=holder_traffic,
             raw_holder_traffic=np.asarray(obs.holder_traffic, dtype=np.float64),
             unserved=unserved,

@@ -1,7 +1,8 @@
 """Memory guards: each partition × site matrix on the RFH path exists once.
 
-M below is one dense ``(P, S)`` float64 matrix.  RFH's own state is two
-such matrices — the Eq. 11 traffic EWMA and the served EWMA.  The
+M below is one dense ``(P, S)`` float64 matrix.  RFH's own state — the
+Eq. 11 traffic EWMA and the served EWMA — is at most two such matrices,
+and only the rows of partitions that have seen traffic are stored.  The
 epoch's query batch and service result keep only their nonzero cells,
 and the replica mirror holds int32 counts (half an M).
 """
@@ -45,6 +46,43 @@ def test_policy_retains_only_its_two_ewma_states() -> None:
     finally:
         tracemalloc.stop()
     assert retained <= 2 * matrix + MB, f"retained {retained / matrix:.2f} M"
+
+
+def test_policy_ewma_states_keep_only_active_rows() -> None:
+    """After a warm columnar step at 4,000 partitions × 100 sites (Zipf
+    2.0, so few partitions ever see a query), RFH's traffic and served
+    EWMAs together retain at most 0.1·M, not two dense matrices."""
+    hierarchy = build_synthetic_hierarchy(100)
+    config = SimulationConfig(
+        seed=11,
+        cluster=ClusterParameters(
+            rooms_per_datacenter=1, racks_per_room=1, servers_per_rack=1
+        ),
+        workload=WorkloadParameters(
+            queries_per_epoch_mean=2000.0, num_partitions=4000, zipf_exponent=2.0
+        ),
+    )
+    gc.collect()
+    # Tracing starts before the first epoch: the states are built then.
+    tracemalloc.start()
+    try:
+        sim = ColumnarSimulation(
+            config,
+            policy="rfh",
+            hierarchy=hierarchy,
+            wan=build_ring_wan(hierarchy),
+            invariants=False,
+        )
+        sim.run(5)
+        gc.collect()
+        held = tracemalloc.get_traced_memory()[0]
+        sim.policy._traffic = sim.policy._served = None
+        gc.collect()
+        retained = held - tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    matrix = config.workload.num_partitions * sim.cluster.num_servers * 8
+    assert retained <= 0.1 * matrix, f"EWMA states retained {retained / matrix:.2f} M"
 
 
 def test_columnar_step_peak_stays_within_two_matrices() -> None:
