@@ -70,6 +70,51 @@ def _null_span(name: str) -> _NullSpan:
     return _NULL_SPAN
 
 
+#: Largest run :meth:`CellMatrix.sum` hands to numpy whole: 2¹⁶ float64
+#: (512 KB) of scratch.  Smaller blocks walk more of the tree in Python.
+_SUM_BLOCK = 1 << 16
+
+
+def _pairwise_cells(
+    index: np.ndarray,
+    values: np.ndarray,
+    start: int,
+    size: int,
+    scratch: np.ndarray,
+) -> float:
+    """numpy's pairwise sum of the flat run ``[start, start + size)``,
+    whose cells are ``index`` / ``values`` (at least one); every other
+    element is +0.0.
+
+    Runs that fit ``scratch`` are scattered into it and reduced by
+    numpy's own kernel, then re-zeroed.  A longer run splits where
+    numpy's does, at ``size // 2`` rounded down to a multiple of 8, and
+    a half without cells is skipped: it sums to +0.0, which changes no
+    nonzero partial sum.  A module-level function, not a closure: a
+    nested recursive function closes over itself, and that reference
+    cycle would keep each call's scratch alive until the cyclic GC ran.
+    """
+    if size <= scratch.shape[0]:
+        run = scratch[:size]
+        offsets = index - start
+        run[offsets] = values
+        total = float(np.add.reduce(run))
+        run[offsets] = 0.0
+        return total
+    half = size // 2
+    half -= half % 8
+    split = int(np.searchsorted(index, start + half))
+    if split == index.shape[0]:
+        return _pairwise_cells(index, values, start, half, scratch)
+    if split == 0:
+        return _pairwise_cells(index, values, start + half, size - half, scratch)
+    return _pairwise_cells(
+        index[:split], values[:split], start, half, scratch
+    ) + _pairwise_cells(
+        index[split:], values[split:], start + half, size - half, scratch
+    )
+
+
 @dataclass(frozen=True)
 class CellMatrix:
     """A ``(rows, cols)`` float64 matrix kept as its nonzero cells.
@@ -110,6 +155,24 @@ class CellMatrix:
         out[self.index[lo:hi] - i * cols] = self.values[lo:hi]
         return out
 
+    def sum(self) -> float:
+        """``float(dense().sum())``, bit for bit, without the dense matrix.
+
+        numpy sums a contiguous float64 vector of ``n`` elements as
+        ``0.0 + pairwise(n)``: a run of at most 128 elements is added
+        with eight accumulators, a longer one splits at ``n // 2``
+        rounded down to a multiple of 8 and adds the two halves' sums.
+        The split tree depends on ``n`` alone, so walking it over the
+        sorted cell index and letting numpy reduce each block-sized run
+        that holds cells (in a 2¹⁶-element scratch) reproduces its every
+        addition; the runs without cells are +0.0.
+        """
+        size = self.shape[0] * self.shape[1]
+        if self.index.shape[0] == 0:
+            return 0.0
+        scratch = np.zeros(min(size, _SUM_BLOCK), dtype=np.float64)
+        return _pairwise_cells(self.index, self.values, 0, size, scratch)
+
     def column_sums(self) -> np.ndarray:
         """``dense().sum(axis=0)``, bit for bit.
 
@@ -117,12 +180,12 @@ class CellMatrix:
         so each column total is its cells added in row order; the cells
         left out are +0.0, whose addition to a non-negative partial sum
         changes no bit.  ``np.bincount`` adds the cells in exactly that
-        order.  A single column is summed pairwise instead, so it keeps
-        the dense reduction.
+        order.  A single column is summed pairwise instead, as the flat
+        vector :meth:`sum` reduces.
         """
         cols = self.shape[1]
         if cols == 1:
-            return self.dense().sum(axis=0)
+            return np.array([self.sum()], dtype=np.float64)
         sums = np.bincount(self.index % cols, weights=self.values, minlength=cols)
         return sums.astype(np.float64, copy=False)  # int64 when there are no cells
 
@@ -202,7 +265,7 @@ class ServiceResult:
     @property
     def total_served(self) -> float:
         """Total queries actually served this epoch (the dense sum)."""
-        return float(self.served_server.sum())
+        return self.served_cells.sum()
 
 
 def serve_epoch(

@@ -22,6 +22,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from ...core.availability import availability_at_least_one
+from ...core.traffic import CellMatrix
 from ...errors import SimulationError
 from ...metrics.availability_metric import AvailabilitySummary
 from ...metrics.imbalance import server_load_imbalance
@@ -73,20 +74,15 @@ class ColumnarSimulation(Simulation):
         self._total_cache = 0
         self._alive_epoch = -1
         self._alive_cache = np.zeros(0, dtype=bool)
-        # Replica-mask index cache for the metric kernels: row/column
-        # coordinates of every (partition, server) cell holding replicas,
-        # in row-major order (the order boolean masking enumerates).
+        # Replica-mask index cache for the metric kernels: the row-major
+        # flat index of every (partition, server) cell holding replicas,
+        # ascending (the order boolean masking enumerates).
         self._mask_version = -1
         self._mask_shape = (0, 0)
-        self._mask_rows = np.zeros(0, dtype=np.int64)
-        self._mask_cols = np.zeros(0, dtype=np.int64)
+        self._mask_index = np.zeros(0, dtype=np.int64)
         self._mask_cap = np.zeros(0, dtype=np.float64)
         self._mask_cnt_f = np.zeros(0, dtype=np.float64)
         self._mask_cap_ok = True
-        # Reused all-zero (P, S) scratch for the served total and the
-        # utilization fill matrix; after every use the touched cells are
-        # reset so the buffer re-enters the next epoch all zero.
-        self._fills = np.zeros(0, dtype=np.float64)
         # Policies that support it (RFH) get the dense mirror for their
         # vectorized decision prefilter; baselines simply lack the hook.
         attach = getattr(self.policy, "attach_columnar_state", None)
@@ -193,13 +189,13 @@ class ColumnarSimulation(Simulation):
     def _ensure_mask_cache(self) -> None:
         """Refresh the replica-cell index cache when the layout moved."""
         state = self._state
+        capacities = self._server_capacity_array()  # may widen R first
         if state.version == self._mask_version and state.R.shape == self._mask_shape:
             return
-        rows, cols = np.nonzero(state.R > 0)
-        self._mask_rows = rows
-        self._mask_cols = cols
-        self._mask_cap = self._server_capacity_array()[cols]
-        self._mask_cnt_f = state.R[rows, cols].astype(np.float64)
+        index = np.flatnonzero(state.R > 0)
+        self._mask_index = index
+        self._mask_cap = capacities[index % state.R.shape[1]]
+        self._mask_cnt_f = state.R.reshape(-1)[index].astype(np.float64)
         self._mask_cap_ok = not bool((self._mask_cap <= 0).any())
         self._mask_version = state.version
         self._mask_shape = state.R.shape
@@ -210,37 +206,42 @@ class ColumnarSimulation(Simulation):
         """Served total, Eq. 21 utilization and normalised Eq. 26 load CV
         from the served cells, bit-identical to the dense formulas.
 
-        The served cells are written into the reused all-zero scratch
-        ``_fills`` so the total is the dense matrix's own ``sum()``, in
-        its order.  Utilization's divide and clamp then run on exactly
-        the replica cells (the same per-cell IEEE-754 ops as the dense
-        formula) and every other cell is an exact 0.0, so its
-        full-matrix ``sum`` reduces the same values in the same order.
-        The touched cells are re-zeroed before returning.
+        The total is :meth:`CellMatrix.sum`, the dense matrix's own
+        ``sum()``.  Apply runs between serve and record, so a served cell
+        may sit where no copy is left: it counts in the total only.  The
+        other cells are matched to the replica cells by flat index;
+        utilization's divide and clamp run on exactly those (the same
+        per-cell IEEE-754 ops as the dense formula), and every other
+        cell of the dense fill matrix is an exact 0.0, so summing the
+        matched cells in numpy's order reduces the same values.
         """
         served = result.served_cells
-        fills = self._fills
-        if fills.shape != served.shape:
-            fills = np.zeros(served.shape, dtype=np.float64)
-            self._fills = fills
-        flat = fills.reshape(-1)
-        flat[served.index] = served.values
-        total_served = float(fills.sum())
-        self._ensure_mask_cache()
-        rows, cols = self._mask_rows, self._mask_cols
-        # Served queries of every replica cell (0.0 where none landed).
-        at_copies = fills[rows, cols]
-        flat[served.index] = 0.0
+        total_served = served.sum()
         total = self._total_replicas()
         if total == 0:
             return total_served, 0.0, 0.0
+        self._ensure_mask_cache()
         if not self._mask_cap_ok:
             raise SimulationError(
                 "replica-holding servers must have positive capacity"
             )
-        fills[rows, cols] = np.minimum(at_copies / self._mask_cap, self._mask_cnt_f)
-        utilization = float(fills.sum() / total)
-        fills[rows, cols] = 0.0
+        if served.shape != self._mask_shape:
+            raise SimulationError(
+                f"shape mismatch: served {served.shape} vs counts {self._mask_shape}"
+            )
+        mask = self._mask_index
+        # A bare searchsorted would pin every stray cell to a neighbour's
+        # slot; only an equal index is a copy.
+        slot = np.searchsorted(mask, served.index)
+        np.minimum(slot, mask.shape[0] - 1, out=slot)
+        matched = mask[slot] == served.index
+        slot = slot[matched]
+        values = served.values[matched]
+        fills = np.minimum(values / self._mask_cap[slot], self._mask_cnt_f[slot])
+        utilization = CellMatrix(served.shape, served.index[matched], fills).sum() / total
+        # Served queries of every replica cell (0.0 where none landed).
+        at_copies = np.zeros(mask.shape[0], dtype=np.float64)
+        at_copies[slot] = values
         # Divide by the float64 mirror of the counts: same IEEE-754
         # quotient bits (an int32 count converts to float64 exactly), but the
         # dtype transition is explicit instead of numpy's promotion.

@@ -374,30 +374,31 @@ if given is not None:
         """The columnar ``_served_metrics`` fed served cells equals the
         scalar hook on the dense matrix bit for bit — total served (the
         dense ``sum()``), Eq. 21 utilization and the Eq. 26 load CV —
-        and leaves its scratch all zero.  ``strays`` served cells sit
-        where no copy is left (the apply phase removed it after serve)."""
+        and a second call on other cells does too, so nothing of one
+        call carries into the next.  ``strays`` served cells sit where
+        no copy is left (the apply phase removed it after serve)."""
         sim = warm_columnar
         rng = np.random.default_rng(seed)
         counts = sim._replica_count_matrix()
         capacities = sim._server_capacity_array()
-        served = np.zeros(counts.shape)
-        copies = np.nonzero(counts)
-        pick = rng.random(copies[0].shape[0]) < density
-        limit = counts[copies][pick] * capacities[copies[1][pick]]
-        served[copies[0][pick], copies[1][pick]] = limit * rng.random(limit.shape)
-        empty = np.flatnonzero(counts == 0)
-        stray = rng.choice(empty, size=min(strays, empty.shape[0]), replace=False)
-        served.reshape(-1)[stray] = rng.exponential(5.0, stray.shape[0])
-        result = dataclasses.replace(
-            sim.last_result, served_cells=CellMatrix.from_dense(served)
-        )
-        got = sim._served_metrics(result, counts, capacities)
-        want = Simulation._served_metrics(
-            sim, result, counts.astype(np.int64), capacities
-        )
-        assert np.array(got).view(np.int64).tolist() == np.array(want).view(np.int64).tolist()
-        assert got[0] == float(served.sum())
-        assert not sim._fills.any()
+        for _ in range(2):
+            served = np.zeros(counts.shape)
+            copies = np.nonzero(counts)
+            pick = rng.random(copies[0].shape[0]) < density
+            limit = counts[copies][pick] * capacities[copies[1][pick]]
+            served[copies[0][pick], copies[1][pick]] = limit * rng.random(limit.shape)
+            empty = np.flatnonzero(counts == 0)
+            stray = rng.choice(empty, size=min(strays, empty.shape[0]), replace=False)
+            served.reshape(-1)[stray] = rng.exponential(5.0, stray.shape[0])
+            result = dataclasses.replace(
+                sim.last_result, served_cells=CellMatrix.from_dense(served)
+            )
+            got = sim._served_metrics(result, counts, capacities)
+            want = Simulation._served_metrics(
+                sim, result, counts.astype(np.int64), capacities
+            )
+            assert np.array(got).view(np.int64).tolist() == np.array(want).view(np.int64).tolist()
+            assert got[0] == float(served.sum())
 
     @settings(max_examples=50, deadline=None)
     @given(

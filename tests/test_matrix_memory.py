@@ -4,7 +4,8 @@ M below is one dense ``(P, S)`` float64 matrix.  RFH's own state — the
 Eq. 11 traffic EWMA and the served EWMA — is at most two such matrices,
 and only the rows of partitions that have seen traffic are stored.  The
 epoch's query batch and service result keep only their nonzero cells,
-and the replica mirror holds int32 counts (half an M).
+the record phase sums the served cells without a dense scratch, and the
+replica mirror holds int32 counts (half an M).
 """
 
 from __future__ import annotations
@@ -159,6 +160,51 @@ def test_last_result_keeps_only_its_cells() -> None:
     finally:
         tracemalloc.stop()
     assert retained <= 0.1 * matrix, f"last_result retained {retained / matrix:.2f} M"
+
+
+def test_columnar_engine_holds_no_dense_float_matrix() -> None:
+    """After a warm columnar run on the 100-site ring, no array the
+    engine holds is a dense ``(P, S)`` float64 matrix, and one
+    ``_served_metrics`` call (served total, utilization and load CV from
+    the served cells) raises the traced peak by at most 1 MB."""
+    hierarchy = build_synthetic_hierarchy(100)
+    config = SimulationConfig(
+        seed=11,
+        cluster=ClusterParameters(
+            rooms_per_datacenter=1, racks_per_room=1, servers_per_rack=1
+        ),
+        workload=WorkloadParameters(
+            queries_per_epoch_mean=2000.0, num_partitions=4000
+        ),
+    )
+    sim = ColumnarSimulation(
+        config,
+        policy="rfh",
+        hierarchy=hierarchy,
+        wan=build_ring_wan(hierarchy),
+        invariants=False,
+    )
+    sim.run(5)
+    cells = config.workload.num_partitions * sim.cluster.num_servers
+    dense = [
+        name
+        for name, value in vars(sim).items()
+        if isinstance(value, np.ndarray)
+        and value.dtype == np.float64
+        and value.size >= cells
+    ]
+    assert dense == []
+    counts = sim._replica_count_matrix()
+    capacities = sim._server_capacity_array()
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        sim._served_metrics(sim.last_result, counts, capacities)
+        rise = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert rise <= MB, f"_served_metrics peak rose {rise / MB:.2f} MB"
 
 
 def test_generated_batch_keeps_only_its_cells() -> None:
