@@ -203,8 +203,10 @@ class JsonlTracer(Tracer):
         self.emitted = 0
 
     def emit(self, event: TraceEvent) -> None:
-        json.dump(event.to_dict(), self._handle, separators=(",", ":"))
-        self._handle.write("\n")
+        # ``json.dumps`` runs the C encoder.  ``json.dump`` writes the same
+        # text through the pure-Python one, whose closures leave a
+        # reference cycle per call for the cyclic GC.
+        self._handle.write(json.dumps(event.to_dict(), separators=(",", ":")) + "\n")
         self.emitted += 1
 
     def close(self) -> None:

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import gc
+import io
 import json
 import warnings
 
@@ -100,6 +102,33 @@ class TestJsonlTracer:
         assert len(lines) == 1
         record = json.loads(lines[0])
         assert record["kind"] == "replicate" and record["reason"] == "availability"
+
+    def test_emit_writes_json_dump_bytes_and_leaves_no_cycles(self, tmp_path):
+        """Each line is what ``json.dump`` writes, NaN and infinities
+        included, and emitting leaves nothing for the cyclic GC."""
+        events = [
+            TraceEvent(
+                epoch=i, kind="migrate", cost=value, ts=0.5, extra={"load": value}
+            )
+            for i, value in enumerate((float("nan"), float("inf"), -float("inf"), 1.25))
+        ]
+        path = tmp_path / "t.jsonl"
+        tracer = JsonlTracer(path)
+        gc.collect()
+        gc.disable()
+        try:
+            for event in events:
+                tracer.emit(event)
+            unreachable = gc.collect()
+        finally:
+            gc.enable()
+        tracer.close()
+        assert unreachable == 0
+        expected = io.StringIO()
+        for event in events:
+            json.dump(event.to_dict(), expected, separators=(",", ":"))
+            expected.write("\n")
+        assert path.read_bytes() == expected.getvalue().encode("utf-8")
 
 
 def test_null_tracer_is_disabled():
