@@ -33,6 +33,7 @@ from typing import IO
 
 import numpy as np
 
+from ...artifact import atomic_write
 from ...errors import ProvenanceError
 from .ledger import CHUNK, TABLES, Ledger, LedgerView, StringTable
 from .records import DecisionRecord
@@ -221,13 +222,14 @@ class ProvArtifact:
         """Write the artifact as compact JSON (still ``jq``-able).
 
         Streams the document: the header, then every column in chunks of
-        :data:`~repro.obs.provenance.ledger.CHUNK` values.  The bytes
-        equal ``json.dumps(self.to_dict(), separators=(",", ":"),
+        :data:`~repro.obs.provenance.ledger.CHUNK` values, and replaces
+        ``path`` only once the file is complete.  The bytes equal
+        ``json.dumps(self.to_dict(), separators=(",", ":"),
         allow_nan=False) + "\\n"``.
         """
         head = _dumps(self._header())[:-1]
         strings, remap = self._view.file_strings()
-        with pathlib.Path(path).open("w") as out:
+        with atomic_write(path) as out:
             out.write(head + ',"strings":')
             _write_list(
                 out, (strings[i : i + CHUNK] for i in range(0, len(strings), CHUNK))

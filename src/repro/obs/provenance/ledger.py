@@ -91,6 +91,9 @@ _DTYPES = {"i": np.int32, "d": np.float64, "b": np.int8}
 #: holds at once to a few hundred kilobytes.
 CHUNK = 4096
 
+#: ``file_strings`` position of an id not used in the view.
+_NEVER = np.iinfo(np.int64).max
+
 Columns = dict[str, array]
 
 
@@ -394,49 +397,54 @@ class LedgerView(Sequence[DecisionRecord]):
         """The v1 string table and the id remap into it.
 
         v1 numbers strings by first occurrence in record-major order.
-        Each string column gives every id's first row (``np.unique``);
-        that row maps to its record-major position, and the earliest
-        position over all columns orders the id.  ``""`` stays id 0.
+        Each string column of the view is scanned in :data:`CHUNK`-row
+        slices; a slice's first use of each id maps to its record-major
+        position, and the earliest position over all slices orders the
+        id.  Only one slice is copied at a time.  ``""`` stays id 0.
         """
-        n = len(self)
         text = self.ledger.strings.strings
-        first = np.full(len(text), np.iinfo(np.int64).max, dtype=np.int64)
+        tables = self.ledger.tables
+        n_pred, n_cand = self.counts["predicates"], self.counts["candidates"]
+        pred, cand = tables["predicates"]["decision"], tables["candidates"]["decision"]
 
-        def note(ids: np.ndarray, position) -> None:
-            used, at = np.unique(ids, return_index=True)
-            first[used] = np.minimum(first[used], position(at))
+        def before(column: array, n: int, row: int) -> int:
+            # Child rows of the decisions before ``row`` (children are
+            # in decision order).
+            return bisect.bisect_left(column, row, 0, n)
 
-        pred = self.column("predicates", "decision")
-        cand = self.column("candidates", "decision")
-        n_pred = np.bincount(pred, minlength=n)
-        n_cand = np.bincount(cand, minlength=n)
-        # Record-major position of each row's first string, and where each
-        # row's predicates and candidates start in their tables.
-        width = len(DECISION_STRINGS) + 2 * n_pred + 3 * n_cand
-        base = np.cumsum(width) - width
-        pred_start = np.cumsum(n_pred) - n_pred
-        cand_start = np.cumsum(n_cand) - n_cand
-        for j, name in enumerate(DECISION_STRINGS):
-            note(self.column("decisions", name), lambda at, j=j: base[at] + j)
-        for j, name in enumerate(("eq", "subject")):
-            note(
-                self.column("predicates", name),
-                lambda at, j=j: base[pred[at]]
-                + len(DECISION_STRINGS)
-                + 2 * (at - pred_start[pred[at]])
-                + j,
-            )
-        for j, name in enumerate(("role", "verdict", "cause")):
-            note(
-                self.column("candidates", name),
-                lambda at, j=j: base[cand[at]]
-                + len(DECISION_STRINGS)
-                + 2 * n_pred[cand[at]]
-                + 3 * (at - cand_start[cand[at]])
-                + j,
-            )
+        # Record-major position of each row's first string.  Decision row
+        # d starts at base(d) = 5d + 2P(d) + 3C(d), P and C counting the
+        # predicate and candidate rows before d.  Predicate row i of d
+        # follows d's five strings and every predicate row before i:
+        # 5(d+1) + 2i + 3C(d).  Candidate row i of d follows all of d's
+        # predicates and every candidate row before i: 5(d+1) + 2P(d+1) + 3i.
+        def decision_start(row: int) -> int:
+            return 5 * row + 2 * before(pred, n_pred, row) + 3 * before(cand, n_cand, row)
+
+        def predicate_start(row: int) -> int:
+            d = pred[row]
+            return 5 * (d + 1) + 2 * row + 3 * before(cand, n_cand, d)
+
+        def candidate_start(row: int) -> int:
+            d = cand[row]
+            return 5 * (d + 1) + 2 * before(pred, n_pred, d + 1) + 3 * row
+
+        first = np.full(len(text), _NEVER, dtype=np.int64)
+        for table, names, start in (
+            ("decisions", DECISION_STRINGS, decision_start),
+            ("predicates", ("eq", "subject"), predicate_start),
+            ("candidates", ("role", "verdict", "cause"), candidate_start),
+        ):
+            n = self.counts[table]
+            for j, name in enumerate(names):
+                column = tables[table][name]
+                for lo in range(0, n, CHUNK):
+                    ids = np.frombuffer(column[lo : min(n, lo + CHUNK)], dtype=np.int32)
+                    used, at = np.unique(ids, return_index=True)
+                    position = np.array([start(lo + i) + j for i in at.tolist()], dtype=np.int64)
+                    first[used] = np.minimum(first[used], position)
         first[0] = -1
-        used = np.flatnonzero(first < np.iinfo(np.int64).max)
+        used = np.flatnonzero(first < _NEVER)
         order = used[np.argsort(first[used], kind="stable")]
         remap = np.zeros(len(text), dtype=np.int64)
         remap[order] = np.arange(len(order))

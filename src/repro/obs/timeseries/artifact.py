@@ -26,6 +26,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from ...artifact import JsonArray, JsonObject, atomic_write, write_json
 from ...errors import TsdbError
 
 __all__ = ["TSDB_FORMAT", "TSDB_VERSION", "Marker", "TsdbArtifact"]
@@ -68,6 +69,11 @@ class Marker:
             )
         except (KeyError, TypeError, ValueError) as exc:
             raise TsdbError(f"malformed marker record: {raw!r}") from exc
+
+
+def _clean(values: np.ndarray) -> list[float | None]:
+    # JSON has no NaN/Inf; emit null and restore on load.
+    return [float(v) if math.isfinite(v) else None for v in values]
 
 
 @dataclass(frozen=True)
@@ -118,12 +124,6 @@ class TsdbArtifact:
     # Serialization
     # ------------------------------------------------------------------
     def to_dict(self) -> dict[str, object]:
-        def clean(values: np.ndarray) -> list[float | None]:
-            # JSON has no NaN/Inf; emit null and restore on load.
-            return [
-                float(v) if math.isfinite(v) else None for v in values
-            ]
-
         return {
             "format": TSDB_FORMAT,
             "version": TSDB_VERSION,
@@ -131,7 +131,7 @@ class TsdbArtifact:
             "stride": self.stride,
             "decimation": self.decimation,
             "epochs": [int(e) for e in self.epochs],
-            "columns": {name: clean(self.columns[name]) for name in sorted(self.columns)},
+            "columns": {name: _clean(self.columns[name]) for name in sorted(self.columns)},
             "markers": [m.to_dict() for m in self.markers],
         }
 
@@ -174,9 +174,32 @@ class TsdbArtifact:
             raise TsdbError(f"malformed {TSDB_FORMAT} artifact: {exc}") from exc
 
     def save(self, path: str | pathlib.Path) -> None:
-        """Write the artifact to ``path`` as pretty-printed JSON."""
-        payload = json.dumps(self.to_dict(), indent=1, allow_nan=False)
-        pathlib.Path(path).write_text(payload + "\n")
+        """Write the artifact to ``path`` as pretty-printed JSON.
+
+        Writes one column at a time and replaces ``path`` only once the
+        file is complete.  The bytes equal ``json.dumps(self.to_dict(),
+        indent=1, allow_nan=False) + "\\n"``.
+        """
+        document = JsonObject(
+            (
+                ("format", TSDB_FORMAT),
+                ("version", TSDB_VERSION),
+                ("meta", dict(self.meta)),
+                ("stride", self.stride),
+                ("decimation", self.decimation),
+                ("epochs", [int(e) for e in self.epochs]),
+                (
+                    "columns",
+                    JsonObject(
+                        (name, _clean(self.columns[name])) for name in sorted(self.columns)
+                    ),
+                ),
+                ("markers", JsonArray(m.to_dict() for m in self.markers)),
+            )
+        )
+        with atomic_write(path) as out:
+            write_json(out, document, allow_nan=False)
+            out.write("\n")
 
     @classmethod
     def load(cls, path: str | pathlib.Path) -> TsdbArtifact:

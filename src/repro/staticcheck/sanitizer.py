@@ -35,6 +35,7 @@ from hashlib import blake2b
 from pathlib import Path
 from typing import TYPE_CHECKING, Mapping
 
+from ..artifact import JsonArray, JsonObject, atomic_write, write_json
 from ..errors import SimulationError
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -140,9 +141,23 @@ class FingerprintTrail:
         }
 
     def save(self, path: str | Path) -> None:
-        Path(path).write_text(
-            json.dumps(self.to_dict(), indent=1) + "\n", encoding="utf-8"
+        """Write the trail to ``path`` as pretty-printed JSON.
+
+        Writes one epoch record at a time and replaces ``path`` only once
+        the file is complete.  The bytes equal ``json.dumps(self.to_dict(),
+        indent=1) + "\\n"``.
+        """
+        document = JsonObject(
+            (
+                ("format", _FORMAT),
+                ("version", _VERSION),
+                ("meta", dict(self.meta)),
+                ("epochs", JsonArray(record.to_dict() for record in self.records)),
+            )
         )
+        with atomic_write(path) as out:
+            write_json(out, document)
+            out.write("\n")
 
     @classmethod
     def from_dict(cls, payload: Mapping[str, object]) -> "FingerprintTrail":

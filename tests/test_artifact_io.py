@@ -1,0 +1,300 @@
+"""Streamed, atomically replaced artifact saves (``repro.artifact``).
+
+``.tsdb.json`` and ``.fp.json`` saves write one column or one epoch
+record at a time and must produce exactly ``json.dumps(to_dict(),
+indent=1)``; every streamed save, ``.prov.json`` included, replaces its
+target only once complete.
+"""
+
+from __future__ import annotations
+
+import gc
+import json
+import os
+import pathlib
+import stat
+import tempfile
+import threading
+import tracemalloc
+
+import hypothesis.strategies as st
+import numpy as np
+import pytest
+from hypothesis import given, settings
+
+from repro.artifact import atomic_write
+from repro.obs.provenance import ProvenanceRecorder
+from repro.obs.provenance import ledger as ledger_module
+from repro.obs.timeseries.artifact import Marker, TsdbArtifact
+from repro.sim import reasons
+from repro.sim.actions import Suicide
+from repro.staticcheck.sanitizer import COMPONENTS, EpochFingerprint, FingerprintTrail
+
+GOLDEN = pathlib.Path(__file__).parent / "golden"
+
+_SCALARS = (
+    st.none()
+    | st.booleans()
+    | st.integers(-(2**40), 2**40)
+    | st.floats(allow_nan=False, allow_infinity=False)
+    | st.text(max_size=8)
+)
+#: Nested run metadata with non-ASCII keys and text.
+_META = st.dictionaries(
+    st.text(max_size=6),
+    st.recursive(
+        _SCALARS,
+        lambda inner: (
+            st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=4), inner, max_size=3)
+        ),
+        max_leaves=8,
+    ),
+    max_size=4,
+)
+_VALUES = st.floats(allow_nan=True, allow_infinity=True)
+
+
+@st.composite
+def _tsdb_artifacts(draw) -> TsdbArtifact:
+    points = draw(st.integers(0, 5))
+    names = draw(st.lists(st.text(max_size=6), max_size=4, unique=True))
+    epochs = draw(st.lists(st.integers(0, 10**6), min_size=points, max_size=points))
+    markers = st.builds(
+        Marker, st.integers(0, 999), st.text(max_size=6), st.text(max_size=6), st.integers(1, 40)
+    )
+    return TsdbArtifact(
+        epochs=np.array(epochs, dtype=np.int64),
+        columns={
+            name: np.array(draw(st.lists(_VALUES, min_size=points, max_size=points)))
+            for name in names
+        },
+        markers=tuple(draw(st.lists(markers, max_size=3))),
+        meta=draw(_META),
+        stride=draw(st.integers(1, 8)),
+        decimation=draw(st.sampled_from((1, 2, 4))),
+    )
+
+
+_DIGEST = st.text("0123456789abcdef", min_size=16, max_size=16)
+
+
+@st.composite
+def _trails(draw) -> FingerprintTrail:
+    records = draw(
+        st.lists(
+            st.builds(
+                EpochFingerprint,
+                st.integers(0, 10**6),
+                st.dictionaries(st.sampled_from(COMPONENTS), _DIGEST),
+                st.dictionaries(st.text(max_size=6), _DIGEST, max_size=3),
+                _DIGEST,
+            ),
+            max_size=4,
+        )
+    )
+    # The trail's encoder allows NaN: its meta may hold any float.
+    meta = draw(st.dictionaries(st.text(max_size=6), _SCALARS | _VALUES, max_size=4) | _META)
+    return FingerprintTrail(meta=meta, records=records)
+
+
+def _saved(artifact, directory: pathlib.Path) -> bytes:
+    path = directory / "artifact.json"
+    artifact.save(path)
+    return path.read_bytes()
+
+
+def _traced_peak(fn) -> int:
+    """Bytes the traced peak rises above what is held when ``fn`` starts."""
+    gc.collect()
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        fn()
+        return tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+
+
+# ----------------------------------------------------------------------
+# The streamed writer reproduces json.dumps(indent=1)
+# ----------------------------------------------------------------------
+class TestStreamedWriter:
+    @given(_tsdb_artifacts())
+    @settings(max_examples=80, deadline=None)
+    def test_tsdb_save_equals_json_dumps(self, artifact):
+        expected = json.dumps(artifact.to_dict(), indent=1, allow_nan=False) + "\n"
+        with tempfile.TemporaryDirectory() as directory:
+            assert _saved(artifact, pathlib.Path(directory)) == expected.encode()
+
+    @given(_trails())
+    @settings(max_examples=80, deadline=None)
+    def test_fingerprint_save_equals_json_dumps(self, trail):
+        expected = json.dumps(trail.to_dict(), indent=1) + "\n"
+        with tempfile.TemporaryDirectory() as directory:
+            assert _saved(trail, pathlib.Path(directory)) == expected.encode()
+
+    def test_non_finite_samples_are_written_as_null(self, tmp_path):
+        values = np.array([np.nan, np.inf, -np.inf, 1.5])
+        artifact = TsdbArtifact(epochs=np.arange(4), columns={"x": values})
+        saved = json.loads(_saved(artifact, tmp_path))
+        assert saved["columns"]["x"] == [None, None, None, 1.5]
+
+    def test_empty_containers_stay_on_one_line(self, tmp_path):
+        saved = _saved(TsdbArtifact(epochs=np.arange(0), columns={}), tmp_path).decode()
+        assert '"columns": {}' in saved and '"markers": []' in saved
+        assert '"epochs": []' in _saved(FingerprintTrail(), tmp_path).decode()
+
+    @pytest.mark.parametrize("path", sorted(GOLDEN.glob("*.fp.json")), ids=lambda p: p.name)
+    def test_golden_trails_round_trip_byte_for_byte(self, path, tmp_path):
+        assert _saved(FingerprintTrail.load(path), tmp_path) == path.read_bytes()
+
+
+class TestSaveMemory:
+    def test_tsdb_save_holds_one_column_at_a_time(self, tmp_path):
+        rng = np.random.default_rng(3)
+        artifact = TsdbArtifact(
+            epochs=np.arange(4096),
+            columns={f"signal/{i:02d}": rng.random(4096) for i in range(64)},
+            markers=tuple(Marker(epoch, "failure", "dc-3", 2) for epoch in range(0, 4096, 64)),
+            meta={"policy": "rfh", "seed": 3},
+        )
+        peak = _traced_peak(lambda: artifact.save(tmp_path / "big.tsdb.json"))
+        assert peak <= 1_000_000, f"64 x 4096 save peaked {peak / 1e6:.2f} MB above its start"
+
+    def test_fingerprint_save_holds_one_record_at_a_time(self, tmp_path):
+        def digest(value: int) -> str:
+            return f"{value:016x}"
+
+        trail = FingerprintTrail(
+            meta={"policy": "rfh", "seed": 3},
+            records=[
+                EpochFingerprint(
+                    epoch,
+                    {name: digest(epoch + k) for k, name in enumerate(COMPONENTS)},
+                    {f"stream-{k}": digest(epoch * 7 + k) for k in range(6)},
+                    digest(epoch * 31),
+                )
+                for epoch in range(4000)
+            ],
+        )
+        peak = _traced_peak(lambda: trail.save(tmp_path / "big.fp.json"))
+        assert peak <= 500_000, f"4,000-record save peaked {peak / 1e6:.2f} MB above its start"
+
+
+# ----------------------------------------------------------------------
+# Atomic replacement
+# ----------------------------------------------------------------------
+def _provenance_artifact():
+    recorder = ProvenanceRecorder()
+    for epoch in range(3):
+        draft = recorder.open(
+            epoch=epoch, partition=1, avg_query=1.0, holder_traffic=2.0, unserved=0.0,
+            mean_traffic=1.0, replica_count=2, rmin=2, holder_dc=0,
+        )
+        draft.predicate("eq12", "server:3", 1.0, 2.0, False)
+        recorder.close(draft, [])
+        recorder.note_fate(epoch, "suicide", Suicide(4, 9, reason=reasons.COLD_REPLICA), "applied")
+    return recorder.artifact()
+
+
+class TestAtomicReplace:
+    def _assert_untouched(self, directory: pathlib.Path, target: pathlib.Path) -> None:
+        assert target.read_bytes() == b"previous artifact\n"
+        assert sorted(p.name for p in directory.iterdir()) == [target.name]
+
+    def test_tsdb_save_failing_on_nan_meta_keeps_the_old_file(self, tmp_path):
+        target = tmp_path / "run.tsdb.json"
+        target.write_bytes(b"previous artifact\n")
+        artifact = TsdbArtifact(
+            epochs=np.arange(3), columns={"x": np.ones(3)}, meta={"alpha": float("nan")}
+        )
+        with pytest.raises(ValueError, match="JSON compliant"):
+            artifact.save(target)
+        self._assert_untouched(tmp_path, target)
+
+    def test_prov_save_interrupted_after_the_first_chunk_keeps_the_old_file(
+        self, tmp_path, monkeypatch
+    ):
+        target = tmp_path / "run.prov.json"
+        target.write_bytes(b"previous artifact\n")
+        real_chunks = ledger_module._chunks
+        written = []
+
+        def chunks(*args):
+            for chunk in real_chunks(*args):
+                if written:
+                    raise KeyboardInterrupt
+                written.append(chunk)
+                yield chunk
+
+        monkeypatch.setattr(ledger_module, "_chunks", chunks)
+        with pytest.raises(KeyboardInterrupt):
+            _provenance_artifact().save(target)
+        assert written
+        self._assert_untouched(tmp_path, target)
+
+    def test_fingerprint_save_failing_mid_trail_keeps_the_old_file(self, tmp_path, monkeypatch):
+        target = tmp_path / "run.fp.json"
+        target.write_bytes(b"previous artifact\n")
+        trail = FingerprintTrail(
+            records=[EpochFingerprint(epoch, {}, {}, f"{epoch:016x}") for epoch in range(3)]
+        )
+        real_to_dict = EpochFingerprint.to_dict
+
+        def to_dict(record):
+            if record.epoch == 2:
+                raise OSError("disk full")
+            return real_to_dict(record)
+
+        monkeypatch.setattr(EpochFingerprint, "to_dict", to_dict)
+        with pytest.raises(OSError, match="disk full"):
+            trail.save(target)
+        self._assert_untouched(tmp_path, target)
+
+    @pytest.mark.parametrize("kind", ["tsdb", "prov", "fp"])
+    def test_successful_save_replaces_the_target_and_leaves_nothing_else(self, kind, tmp_path):
+        artifact = {
+            "tsdb": lambda: TsdbArtifact(epochs=np.arange(2), columns={"x": np.ones(2)}),
+            "prov": _provenance_artifact,
+            "fp": lambda: FingerprintTrail(meta={"seed": 1}),
+        }[kind]()
+        target = tmp_path / f"run.{kind}.json"
+        target.write_bytes(b"previous artifact\n")
+        artifact.save(target)
+        assert sorted(p.name for p in tmp_path.iterdir()) == [target.name]
+        assert json.loads(target.read_text())["version"] == 1
+
+    def test_a_symlinked_target_is_replaced_behind_its_link(self, tmp_path):
+        (tmp_path / "store").mkdir()
+        real = tmp_path / "store" / "run.fp.json"
+        real.write_bytes(b"previous artifact\n")
+        link = tmp_path / "run.fp.json"
+        link.symlink_to(real)
+        FingerprintTrail(meta={"seed": 1}).save(link)
+        assert link.is_symlink()
+        assert json.loads(real.read_text())["meta"] == {"seed": 1}
+        assert sorted(p.name for p in real.parent.iterdir()) == [real.name]
+
+    def test_a_pipe_is_written_in_place(self, tmp_path):
+        fifo = tmp_path / "run.tsdb.json"
+        os.mkfifo(fifo)
+        received = []
+        reader = threading.Thread(
+            target=lambda: received.append(fifo.read_bytes()), daemon=True
+        )
+        reader.start()
+        artifact = TsdbArtifact(epochs=np.arange(2), columns={"x": np.ones(2)})
+        artifact.save(fifo)
+        reader.join(timeout=10)
+        assert not reader.is_alive()
+        assert received == [(json.dumps(artifact.to_dict(), indent=1) + "\n").encode()]
+        assert stat.S_ISFIFO(fifo.stat().st_mode)
+        assert sorted(p.name for p in tmp_path.iterdir()) == [fifo.name]
+
+    def test_atomic_write_creates_new_files_like_open(self, tmp_path):
+        with open(tmp_path / "plain", "w") as out:
+            out.write("x")
+        with atomic_write(tmp_path / "atomic") as out:
+            out.write("x")
+        modes = {p.name: p.stat().st_mode for p in tmp_path.iterdir()}
+        assert modes["atomic"] == modes["plain"]

@@ -10,6 +10,7 @@ import random
 import tracemalloc
 
 import hypothesis.strategies as st
+import numpy as np
 import pytest
 from hypothesis import given, settings
 
@@ -34,7 +35,9 @@ from repro.obs.provenance import (
     crosscheck_trace,
     diff_provenance,
 )
+from repro.obs.provenance.ledger import CHUNK, TABLES, Ledger, LedgerView, StringTable
 from repro.obs.provenance.recorder import _action_fields
+from repro.obs.provenance.records import CANDIDATE_ROLES, EQ_TAGS
 from repro.obs.trace import RingBufferTracer
 from repro.sim import reasons
 from repro.sim.actions import Replicate, Suicide
@@ -510,6 +513,126 @@ class TestStreamedSave:
         strings = json.loads(saved)["strings"]
         assert strings.index("skipped") < strings.index("server:77")
         assert strings.index(reasons.SKIP_BANDWIDTH) < strings.index("server:77")
+
+
+# ----------------------------------------------------------------------
+# Bounded string numbering: ledgers of several CHUNK-row slices
+# ----------------------------------------------------------------------
+def _synthetic_run(recorder, seed, growth, fan_out, child_rows):
+    """Record epochs of 16 decisions until both child tables pass
+    ``child_rows`` rows; the same arguments drive the same calls.
+
+    Subjects, candidate causes and some branches come from one pool of
+    strings that grows by one every ``growth`` decisions, so new strings
+    keep first appearing in later slices of every column, many of them
+    in a child table before any decision uses them.  Each epoch's fates
+    come after all its decisions, and each carries a new cause.
+    """
+    rng = random.Random(seed)
+    decisions = predicates = candidates = epoch = 0
+    while min(predicates, candidates) <= child_rows:
+        acting = []
+        for partition in range(16):
+            pool = 1 + decisions // growth
+            draft = recorder.open(epoch=epoch, partition=partition, **_context())
+            if rng.random() < 0.2:
+                draft.branch = f"s{rng.randrange(pool)}"
+            for _ in range(rng.randint(1, fan_out)):
+                draft.predicate(
+                    rng.choice(EQ_TAGS), f"s{rng.randrange(pool)}", rng.random(), 0.5,
+                    rng.random() < 0.5,
+                )
+                predicates += 1
+            for _ in range(rng.randint(1, fan_out)):
+                draft.candidate(
+                    rng.choice(CANDIDATE_ROLES), rng.randrange(10),
+                    verdict=rng.choice(("accepted", "rejected")),
+                    cause=f"s{rng.randrange(pool)}", value=rng.random(),
+                )
+                candidates += 1
+            kind = rng.choice((None, None, "replicate", "suicide"))
+            recorder.close(draft, [_action_for(kind, partition)] if kind else [])
+            if kind:
+                acting.append((partition, kind))
+            decisions += 1
+        for i, (partition, kind) in enumerate(acting):
+            recorder.note_fate(
+                epoch, kind, _action_for(kind, partition),
+                rng.choice(("applied", "skipped")), cause=f"fate-{epoch}-{i}",
+            )
+        epoch += 1
+
+
+def _synthetic_pair(tmp_path, seed, growth, fan_out, budget=DEFAULT_BUDGET,
+                    child_rows=2 * CHUNK):
+    recorder, reference = ProvenanceRecorder(budget), _ReferenceRecorder(budget)
+    for rec in (recorder, reference):
+        _synthetic_run(rec, seed, growth, fan_out, child_rows)
+    saved = _saved_bytes(recorder, tmp_path)
+    assert saved == reference.file_bytes()
+    return recorder, json.loads(saved)
+
+
+class TestBoundedFileStrings:
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        growth=st.integers(4, 400),
+        fan_out=st.integers(6, 12),
+    )
+    @settings(max_examples=6, deadline=None)
+    def test_sliced_numbering_matches_record_based_writer(
+        self, tmp_path_factory, seed, growth, fan_out
+    ):
+        _, doc = _synthetic_pair(tmp_path_factory.mktemp("prov"), seed, growth, fan_out)
+        for table in ("predicates", "candidates"):
+            assert len(doc[table]["decision"]) > 2 * CHUNK
+        # Some strings are first used in a later slice of a child table.
+        for table, name in (("predicates", "subject"), ("candidates", "cause")):
+            first_row = {}
+            for row, value in enumerate(doc[table][name]):
+                first_row.setdefault(value, row)
+            assert max(first_row.values()) >= CHUNK
+
+    def test_compacted_ledger_matches_record_based_writer(self, tmp_path):
+        recorder, doc = _synthetic_pair(
+            tmp_path, seed=11, growth=40, fan_out=12, budget=1600, child_rows=4 * CHUNK
+        )
+        assert recorder.noop_dropped
+        for table in ("predicates", "candidates"):
+            assert len(doc[table]["decision"]) > 2 * CHUNK
+
+    def test_file_strings_holds_one_slice_at_a_time(self):
+        # A ledger of chaos-observed size: 32,000 decisions, 368,000 child rows.
+        rng = np.random.default_rng(5)
+        strings = StringTable()
+        names = [f"s{i}" for i in range(300)]
+        ids = np.array([strings.intern(name) for name in names])
+        rows = {"decisions": 32_000, "predicates": 213_000, "candidates": 155_000}
+
+        def column(table, kind):
+            n = rows[table]
+            if kind == "row":
+                return np.sort(rng.integers(0, rows["decisions"], n))
+            if kind == "str":
+                return rng.choice(ids, n)
+            return rng.random(n) if kind == "float" else rng.integers(0, 2, n)
+
+        tables = {
+            table: {name: column(table, kind) for name, kind in spec}
+            for table, spec in TABLES.items()
+        }
+        view = LedgerView(Ledger.from_arrays(strings, tables))
+        del tables
+        gc.collect()
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            file_strings, _ = view.file_strings()
+            peak = tracemalloc.get_traced_memory()[1] - start
+        finally:
+            tracemalloc.stop()
+        assert sorted(file_strings) == sorted(["", *names])
+        assert peak <= 1_000_000, f"file_strings() peaked {peak / 1e6:.2f} MB above its start"
 
 
 # ----------------------------------------------------------------------
