@@ -2,10 +2,19 @@
 
 "At each epoch, the number of generated queries follows a Poisson
 distribution with a mean rate λ" (Table I: λ = 300).  The epoch total is
-drawn once from Poisson(λ) and then distributed multinomially over the
-(partition x origin) cells weighted by the pattern's outer product — so
-marginals follow the pattern exactly in expectation and all draws come
-from one seeded stream.
+drawn once from Poisson(λ) and spread over the (partition x origin)
+cells with probability ``p_i · o_j``, the product of the pattern's two
+normalised weight vectors, so marginals follow the pattern exactly in
+expectation and all draws come from one seeded stream.
+
+The spread is drawn in factorised form: the partition totals from
+``Multinomial(total, p)``, then each partition that drew queries splits
+its ``n_i`` over the origins by ``Multinomial(n_i, o)``, in one
+broadcast call.  Because the cell probabilities are an outer product,
+this has exactly the law of one ``Multinomial(total, p ⊗ o)`` draw over
+all ``P · D`` cells: given the partition totals, the joint multinomial's
+rows are independent multinomials with probabilities ``o``.  No ``P · D``
+array is built; an epoch costs O(P + cells) memory at any shape.
 """
 
 from __future__ import annotations
@@ -19,6 +28,20 @@ from .query import QueryBatch
 from .timevarying import rate_multiplier_of
 
 __all__ = ["QueryGenerator"]
+
+
+def _probabilities(weights: np.ndarray, size: int, name: str) -> np.ndarray:
+    """Normalise one factor's weights, rejecting any that are not a
+    finite, non-negative vector of length ``size`` with a positive sum."""
+    weights = np.asarray(weights, dtype=np.float64)
+    if weights.shape != (size,):
+        raise WorkloadError(f"bad {name} weight shape: {weights.shape}")
+    if not np.all(np.isfinite(weights)) or np.any(weights < 0):
+        raise WorkloadError(f"{name} weights must be finite and non-negative")
+    total = weights.sum()
+    if not np.isfinite(total) or total <= 0:
+        raise WorkloadError(f"{name} weights must sum to a positive finite value")
+    return weights / total
 
 
 class QueryGenerator:
@@ -45,12 +68,6 @@ class QueryGenerator:
         self._pattern = pattern
         self._rng = rng
         self._next_epoch = 0
-        # Joint-probability cache: stationary patterns return the same
-        # weights every epoch, so the outer product and normalisation
-        # can be reused whenever both weight vectors are unchanged.
-        self._joint_cache: np.ndarray | None = None
-        self._joint_part_w: np.ndarray | None = None
-        self._joint_orig_w: np.ndarray | None = None
 
     @property
     def pattern(self) -> QueryPattern:
@@ -67,40 +84,31 @@ class QueryGenerator:
                 f"epochs must be generated in order; expected {self._next_epoch}, got {epoch}"
             )
         self._next_epoch += 1
-        part_w = np.asarray(self._pattern.partition_weights(epoch), dtype=np.float64)
-        orig_w = np.asarray(self._pattern.origin_weights(epoch), dtype=np.float64)
-        if part_w.shape != (self._params.num_partitions,):
-            raise WorkloadError(f"bad partition weight shape: {part_w.shape}")
-        if orig_w.shape != (self._pattern.num_origins,):
-            raise WorkloadError(f"bad origin weight shape: {orig_w.shape}")
-        if (
-            self._joint_cache is not None
-            and np.array_equal(part_w, self._joint_part_w)
-            and np.array_equal(orig_w, self._joint_orig_w)
-        ):
-            joint = self._joint_cache
-        else:
-            joint = np.outer(part_w, orig_w).ravel()
-            joint_sum = joint.sum()
-            if not np.isfinite(joint_sum) or joint_sum <= 0:
-                raise WorkloadError(
-                    "pattern weights must sum to a positive finite value"
-                )
-            joint /= joint_sum
-            self._joint_cache = joint
-            self._joint_part_w = part_w.copy()
-            self._joint_orig_w = orig_w.copy()
+        num_origins = self._pattern.num_origins
+        # Both factors are checked before the first draw, so a rejected
+        # pattern leaves the stream untouched.
+        part_p = _probabilities(
+            self._pattern.partition_weights(epoch),
+            self._params.num_partitions,
+            "partition",
+        )
+        orig_p = _probabilities(
+            self._pattern.origin_weights(epoch), num_origins, "origin"
+        )
         rate = self._params.queries_per_epoch_mean * rate_multiplier_of(
             self._pattern, epoch
         )
         total = int(self._rng.poisson(rate))
-        # The multinomial's dense P·D output lives only until its
-        # nonzero cells (at most ``total``) are pulled out.
-        drawn = self._rng.multinomial(total, joint)
-        index = np.flatnonzero(drawn)
+        per_partition = self._rng.multinomial(total, part_p)
+        rows = np.flatnonzero(per_partition)
+        # One (k, D) block for the k partitions that drew queries.  Rows
+        # ascend, and so do the columns within a row, so the flat indices
+        # come out strictly increasing, as ``from_cells`` requires.
+        block = self._rng.multinomial(per_partition[rows], orig_p)
+        row, col = np.nonzero(block)
         return QueryBatch.from_cells(
             epoch,
-            (self._params.num_partitions, self._pattern.num_origins),
-            index,
-            drawn[index],
+            (self._params.num_partitions, num_origins),
+            rows[row] * num_origins + col,
+            block[row, col],
         )

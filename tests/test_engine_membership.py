@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.config import SimulationConfig, WorkloadParameters
+from repro.metrics.availability_metric import availability_summary
 from repro.sim import (
     MassFailureEvent,
     ServerFailureEvent,
@@ -87,12 +88,21 @@ class TestRecoveryDynamics:
         assert all(c >= sim.rmin for c in counts)
 
     def test_mean_availability_dips_then_recovers(self):
-        sim = make_sim()
-        sim.schedule_event(MassFailureEvent(epoch=30, count=40))
-        m = sim.run(100)
-        avail = m.array("mean_availability")
-        assert avail[30] <= avail[29]  # the hit
-        assert avail[-1] >= avail[29] - 1e-9  # healed
+        """What Eq. 14 guarantees after a mass failure, at several seeds:
+        availability drops, every partition is brought back to r_min
+        copies, each at least 1 - f^r_min available, and the mean climbs
+        back from the hit.  The epoch-29 level is a cold-start transient
+        that a failure-free run ends below too, so it is no target."""
+        for seed in (17, 1, 2, 3, 4):
+            sim = make_sim(seed=seed)
+            sim.schedule_event(MassFailureEvent(epoch=30, count=40))
+            avail = sim.run(100).array("mean_availability")
+            f = sim.config.rfh.failure_rate
+            summary = availability_summary(sim.replicas, f, sim.rmin)
+            assert avail[30] < avail[29], f"seed {seed}: no hit"
+            assert summary.fraction_meeting_floor == 1.0, f"seed {seed}: below r_min"
+            assert summary.min_availability >= 1 - f**sim.rmin, f"seed {seed}"
+            assert avail[-1] > avail[30], f"seed {seed}: no recovery"
 
 
 class TestCrossPolicyDeterminism:
