@@ -17,7 +17,8 @@ serialization formats.  A third trail, ``rfh-sparse-p3000-s7.fp.json``
 100 --epochs 40 --seed 7 --save …``), is checked by CI with ``repro
 sanitize --against`` on both engines.
 
-Regenerate after an intentional format change with::
+Regenerate after an intentional change to the trajectory (such as the
+workload's RNG stream) or to a format with::
 
     REPRO_REGEN_GOLDEN=1 PYTHONPATH=src python -m pytest tests/test_golden_artifacts.py
 
