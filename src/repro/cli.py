@@ -837,9 +837,8 @@ def _warn_dropped(tracer) -> None:
     dropped = getattr(tracer, "dropped", 0)
     if dropped:
         print(
-            f"warning: trace buffer evicted {dropped} events "
-            f"(trace_events_dropped_total={dropped}); analysis covers "
-            "the most recent events only",
+            f"warning: trace buffer evicted {dropped} events; analysis "
+            "covers the most recent events only",
             file=sys.stderr,
         )
 

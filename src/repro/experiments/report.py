@@ -4,18 +4,14 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING
 
-from ..obs.registry import InstrumentRegistry
 from .figures import FigureResult
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..obs.analysis import TraceAnalysis
-    from ..obs.timeseries import DiffReport
 
 __all__ = [
     "render_figure",
-    "render_instruments",
     "render_analysis",
-    "render_timeseries_diff",
     "render_report",
 ]
 
@@ -77,43 +73,6 @@ def render_figure(result: FigureResult) -> str:
     return "\n".join(lines)
 
 
-def _fmt_labels(labels: dict[str, str]) -> str:
-    if not labels:
-        return ""
-    return "{" + ", ".join(f"{k}={v}" for k, v in sorted(labels.items())) + "}"
-
-
-def render_instruments(registry: InstrumentRegistry) -> str:
-    """Markdown section over a registry snapshot (counters, gauges,
-    histogram summaries) for inclusion in experiment reports."""
-    snap = registry.snapshot()
-    lines = ["### Instruments", ""]
-    scalar_rows = [
-        (row["name"], row["labels"], row["value"])
-        for row in [*snap["counters"], *snap["gauges"]]
-    ]
-    if scalar_rows:
-        lines += ["| instrument | value |", "|---|---|"]
-        for name, labels, value in scalar_rows:
-            lines.append(f"| `{name}{_fmt_labels(labels)}` | {value:g} |")
-        lines.append("")
-    if snap["histograms"]:
-        lines += [
-            "| histogram | count | mean | p50 | p95 | max |",
-            "|---|---|---|---|---|---|",
-        ]
-        for row in snap["histograms"]:
-            lines.append(
-                f"| `{row['name']}{_fmt_labels(row['labels'])}` | {row['count']} "
-                f"| {row['mean']:.2f} | {row['p50']:.2f} | {row['p95']:.2f} "
-                f"| {row['max']:.2f} |"
-            )
-        lines.append("")
-    if len(lines) == 2:
-        lines += ["(no instruments recorded)", ""]
-    return "\n".join(lines)
-
-
 def render_analysis(analysis: TraceAnalysis, *, heading: str = "### Trace analysis") -> str:
     """Markdown section over a trace-analytics result (lineage digest,
     ranked top-causes table, anomalies) for experiment reports."""
@@ -122,23 +81,8 @@ def render_analysis(analysis: TraceAnalysis, *, heading: str = "### Trace analys
     return render_markdown(analysis, heading=heading)
 
 
-def render_timeseries_diff(report: DiffReport, *, verbose: bool = False) -> str:
-    """Markdown section over a cross-run time-series diff (see
-    :func:`repro.obs.timeseries.diff_artifacts`) for experiment reports."""
-    from ..obs.timeseries import render_diff_markdown
-
-    return render_diff_markdown(report, verbose=verbose)
-
-
-def render_report(
-    results: dict[str, FigureResult],
-    header: str = "",
-    instruments: InstrumentRegistry | None = None,
-    analysis: TraceAnalysis | None = None,
-    timeseries_diff: DiffReport | None = None,
-) -> str:
-    """Full markdown report over all figures, plus the instrument
-    snapshot, trace analysis and time-series diff when supplied."""
+def render_report(results: dict[str, FigureResult], header: str = "") -> str:
+    """Full markdown report over all figures."""
     total = sum(len(r.checks) for r in results.values())
     held = sum(sum(r.checks.values()) for r in results.values())
     lines = []
@@ -147,10 +91,4 @@ def render_report(
     lines += [f"**Shape checks held: {held}/{total}**", ""]
     for key in sorted(results):
         lines.append(render_figure(results[key]))
-    if instruments is not None:
-        lines.append(render_instruments(instruments))
-    if analysis is not None:
-        lines.append(render_analysis(analysis))
-    if timeseries_diff is not None:
-        lines.append(render_timeseries_diff(timeseries_diff))
     return "\n".join(lines)

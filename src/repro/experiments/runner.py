@@ -62,7 +62,6 @@ def run_experiment(
     *,
     tracer=None,
     profiler=None,
-    instruments=None,
     invariants=None,
     timeseries=None,
     sanitizer=None,
@@ -81,12 +80,13 @@ def run_experiment(
 
     Every run constructs a fresh :class:`Simulation` from the scenario's
     config, so repeated calls are bit-identical.  The optional
-    ``tracer`` / ``profiler`` / ``instruments`` / ``timeseries`` /
-    ``work`` hooks
-    (see :mod:`repro.obs`) pass straight through to the simulation and
-    stay reachable afterwards via ``result.simulation``; so do the
-    scenario's chaos schedule and the ``invariants`` spec (see
-    :class:`~repro.sim.engine.Simulation`).  A time-series recorder
+    ``tracer`` / ``profiler`` / ``timeseries`` / ``work`` /
+    ``provenance`` hooks (see :mod:`repro.obs`) pass straight through
+    to the simulation and stay reachable afterwards via
+    ``result.simulation``; so do the scenario's chaos schedule and the
+    ``invariants`` spec (see :class:`~repro.sim.engine.Simulation`).
+    Counters over the run's events come from its trace
+    (:func:`repro.obs.analysis.registry_from_events`).  A time-series recorder
     gets the standard run-identity keys (policy, scenario, seed,
     epochs, chaos) stamped into its artifact metadata unless the caller
     already set them; a
@@ -123,7 +123,6 @@ def run_experiment(
         events=scenario.events,
         tracer=tracer,
         profiler=profiler,
-        instruments=instruments,
         chaos=scenario.chaos,
         invariants=invariants,
         timeseries=timeseries,

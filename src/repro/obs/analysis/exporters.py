@@ -9,8 +9,7 @@ Two interchange formats every tooling ecosystem already reads:
   kind (thread), so a whole run can be scrubbed visually.
 * **Prometheus text exposition** (``# HELP`` / ``# TYPE`` + samples):
   an :class:`~repro.obs.registry.InstrumentRegistry` snapshot rendered
-  as counters, gauges and summaries, scrape-ready or pushable to a
-  gateway.
+  as counters and summaries, scrape-ready or pushable to a gateway.
 
 :func:`registry_from_events` rebuilds a registry from a raw JSONL
 trace, so a file on disk can be exported to Prometheus format without
@@ -174,18 +173,17 @@ def write_chrome_trace(
 # ----------------------------------------------------------------------
 # Prometheus text exposition
 # ----------------------------------------------------------------------
-#: HELP strings for the instrument families the engine maintains.
+#: HELP strings for the families :func:`registry_from_events` rebuilds.
 _HELP: dict[str, str] = {
     "actions_total": "Applied replication actions by kind, rule and policy.",
     "actions_skipped_total": "Actions refused by an engine gate, by gate.",
     "membership_events_total": "Server failures, recoveries and joins.",
     "partitions_restored_total": "Cold restores of partitions that lost every copy.",
+    "wan_link_events_total": "WAN link cuts and heals, by kind.",
+    "invariant_violations_total": "Runtime conservation-check failures, by invariant.",
     "sla_miss_total": "Queries served above the latency bound.",
     "trace_events_total": "Trace records consumed, by kind.",
-    "trace_events_dropped_total": "Trace events evicted by a full ring buffer.",
     "replica_lifetime_epochs": "Lifetime of dead replicas, in epochs.",
-    "total_replicas": "Live replica copies across the fleet.",
-    "alive_servers": "Servers currently up.",
 }
 
 
@@ -213,7 +211,7 @@ def to_prometheus(
     """Render a registry (or its ``snapshot()``) as Prometheus text
     exposition format, version 0.0.4.
 
-    Counters and gauges map directly; histograms render as summaries
+    Counters map directly; histograms render as summaries
     (``{quantile="0.5"}`` / ``{quantile="0.95"}`` plus ``_sum`` and
     ``_count`` series), which is the faithful encoding of the
     registry's nearest-rank quantile snapshots.
@@ -233,12 +231,6 @@ def to_prometheus(
 
     for name, rows in sorted(families(snapshot.get("counters", ())).items()):
         header(name, "counter")
-        for row in rows:
-            labels = _label_text(row.get("labels", {}))  # type: ignore[arg-type]
-            lines.append(f"{name}{labels} {_fmt_value(float(row['value']))}")  # type: ignore[arg-type]
-
-    for name, rows in sorted(families(snapshot.get("gauges", ())).items()):
-        header(name, "gauge")
         for row in rows:
             labels = _label_text(row.get("labels", {}))  # type: ignore[arg-type]
             lines.append(f"{name}{labels} {_fmt_value(float(row['value']))}")  # type: ignore[arg-type]
@@ -264,14 +256,15 @@ def to_prometheus(
 
 
 def registry_from_events(events: Iterable[TraceEvent]) -> InstrumentRegistry:
-    """Rebuild the engine's counter families from a raw event stream, so
-    a JSONL trace on disk can be exported without re-running anything.
+    """Build the counter families from a raw event stream, so a JSONL
+    trace on disk can be exported without re-running anything.
 
-    The reconstruction covers everything derivable from the trace:
-    action/skip/membership/restore/SLA counters plus the
+    The reconstruction covers every counter family the engine's events
+    carry: actions, skips, membership, restores, WAN link changes,
+    invariant violations and SLA misses, plus the
     ``replica_lifetime_epochs`` histogram re-stitched via lineage.
-    Gauges (instantaneous fleet state) are not recoverable from events
-    and are omitted.
+    Fleet-state levels (live replicas, alive servers) are metric series
+    in the CSV and the time series, not counters.
     """
     from .lineage import build_lineage
 
@@ -295,6 +288,12 @@ def registry_from_events(events: Iterable[TraceEvent]) -> InstrumentRegistry:
             registry.counter("membership_events_total", kind=event.kind).inc()
         elif event.kind == "partition_restore":
             registry.counter("partitions_restored_total").inc()
+        elif event.kind in ("link_failure", "link_recovery"):
+            registry.counter("wan_link_events_total", kind=event.kind).inc()
+        elif event.kind == "invariant_violation":
+            registry.counter(
+                "invariant_violations_total", invariant=event.reason
+            ).inc()
         elif event.kind == "sla_violation":
             count = event.extra.get("count", 1.0)
             registry.counter("sla_miss_total", policy=policy).inc(

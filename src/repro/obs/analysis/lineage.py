@@ -10,11 +10,13 @@ those: every copy's chain of **stays** (a residence on one server),
 linked across migrations into a **lifecycle**, annotated with birth and
 death causes.
 
-Stitching rules mirror the engine's own birth/death bookkeeping
-(``Simulation._replica_birth``) one-to-one, which is what makes the
-round-trip test possible: the multiset of closed-stay durations
-reconstructed here equals the engine-side ``replica_lifetime_epochs``
-histogram exactly.
+A stay opens when a copy lands on a server (bootstrap, restore,
+replication, or the target end of a migration) and closes when it
+leaves it (suicide, the source end of a migration, or the failure of
+its server).  The trace names every such event, so on a complete trace
+the reconstruction is exact: the closed stays are the replica map's
+cell deaths and the open stays are its occupied cells (test-enforced
+against a mirror of :class:`~repro.cluster.replicas.ReplicaMap`).
 """
 
 from __future__ import annotations
@@ -61,8 +63,7 @@ class ReplicaStay:
 
     ``born_epoch`` is ``None`` when the birth predates the trace (a
     truncated or ring-buffer-evicted prefix); such stays are excluded
-    from lifetime statistics, exactly as the engine skips deaths whose
-    birth record is missing.
+    from lifetime statistics, since their duration is unknown.
     """
 
     partition: int
@@ -145,7 +146,7 @@ class Lineage:
         self.lifecycles: list[ReplicaLifecycle] = []
         #: (partition, sid) -> lifecycle whose last stay is still open there.
         self._live: dict[tuple[int, int], ReplicaLifecycle] = {}
-        #: Closed stays, in death order (the engine-histogram mirror).
+        #: Closed stays with a known birth, in death order.
         self.closed_stays: list[ReplicaStay] = []
         #: Stitching problems worth surfacing (e.g. failures without a
         #: ``partitions`` list from a pre-analytics trace).
@@ -159,9 +160,8 @@ class Lineage:
         """Start a new lifecycle at (partition, sid)."""
         existing = self._live.pop((partition, sid), None)
         if existing is not None:
-            # A second copy landed on the same server: the engine
-            # overwrites its birth record without observing a death, so
-            # mark the old stay superseded and exclude it from stats.
+            # A second birth at an occupied cell: close the old stay as
+            # superseded and keep it out of the lifetime statistics.
             self._close_stay(existing.stays[-1], epoch or 0, "superseded", record=False)
         life = ReplicaLifecycle(partition=partition)
         life.stays.append(
@@ -263,8 +263,9 @@ class Lineage:
 
     # -- statistics -----------------------------------------------------
     def stay_lifetimes(self) -> list[int]:
-        """Durations of closed stays with a known birth — the exact
-        multiset the engine feeds ``replica_lifetime_epochs``."""
+        """Durations of closed stays with a known birth, in death order:
+        the samples of the ``replica_lifetime_epochs`` histogram that
+        :func:`~repro.obs.analysis.registry_from_events` rebuilds."""
         return [stay.duration for stay in self.closed_stays if stay.duration is not None]
 
     def lifecycle_lifetimes(self) -> list[int]:

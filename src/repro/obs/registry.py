@@ -1,9 +1,11 @@
-"""Labelled instruments: counters, gauges and histograms.
+"""Labelled instruments: counters and histograms.
 
-A :class:`InstrumentRegistry` is the aggregate companion to the event
-trace — cheap running totals you can snapshot at any point without
-replaying events.  The naming convention follows the de-facto metrics
-standard: a family name plus a label set, e.g.::
+A :class:`InstrumentRegistry` holds the aggregate view of an event
+trace — running totals rebuilt from the events by
+:func:`repro.obs.analysis.registry_from_events` and rendered by
+:func:`repro.obs.analysis.to_prometheus`.  The naming convention
+follows the de-facto metrics standard: a family name plus a label set,
+e.g.::
 
     registry.counter("actions_total", kind="migrate", policy="rfh").inc()
     registry.histogram("replica_lifetime_epochs").observe(132.0)
@@ -11,27 +13,13 @@ standard: a family name plus a label set, e.g.::
 Instruments are get-or-create: asking for the same (name, labels) twice
 returns the same object, and differing label values create distinct
 children under one family.  ``snapshot()`` renders everything to plain
-JSON-able dicts; ``reset()`` zeroes state for test isolation.
-
-Histograms keep every sample by default (exact quantiles; the engine
-only feeds low-rate signals such as replica deaths).  For high-rate
-instruments, construct the registry with ``histogram_reservoir=N``:
-each histogram then holds a fixed-size uniform random sample
-(Vitter's algorithm R, deterministically seeded per instrument), so
-memory stays bounded on arbitrarily long runs while count/sum/min/max
-remain exact and quantiles become estimates — flagged by
-``sampled: true`` in the summary.
+JSON-able dicts.  Histograms keep every sample, so their quantiles are
+exact.
 """
 
 from __future__ import annotations
 
-import json
-import pathlib
-import random
-import zlib
-from collections.abc import Iterator
-
-__all__ = ["Counter", "Gauge", "Histogram", "InstrumentRegistry"]
+__all__ = ["Counter", "Histogram", "InstrumentRegistry"]
 
 LabelKey = tuple[tuple[str, str], ...]
 
@@ -55,52 +43,14 @@ class Counter:
         self.value += amount
 
 
-class Gauge:
-    """A value that can move both ways (e.g. live replica count)."""
+class Histogram:
+    """Distribution summary (count/sum/min/max + every sample)."""
 
-    __slots__ = ("labels", "value")
+    __slots__ = ("labels", "samples", "_count", "_sum", "_min", "_max")
 
     def __init__(self, labels: dict[str, str]) -> None:
         self.labels = labels
-        self.value = 0.0
-
-    def set(self, value: float) -> None:
-        self.value = float(value)
-
-    def inc(self, amount: float = 1.0) -> None:
-        self.value += amount
-
-    def dec(self, amount: float = 1.0) -> None:
-        self.value -= amount
-
-
-class Histogram:
-    """Streaming distribution summary (count/sum/min/max + samples).
-
-    Exact mode (default, ``reservoir=None``) keeps every sample so
-    snapshots report true quantiles.  Reservoir mode keeps a fixed-size
-    uniform sample via Vitter's algorithm R with a deterministic
-    per-instrument seed: count, sum, min, max and mean stay exact
-    (tracked outside the sample), quantiles become estimates and the
-    summary reports ``sampled: true`` once the reservoir has displaced
-    anything.
-    """
-
-    __slots__ = ("labels", "samples", "_reservoir", "_rng", "_count", "_sum", "_min", "_max")
-
-    def __init__(
-        self,
-        labels: dict[str, str],
-        *,
-        reservoir: int | None = None,
-        seed: int = 0,
-    ) -> None:
-        if reservoir is not None and reservoir < 1:
-            raise ValueError(f"reservoir size must be >= 1, got {reservoir}")
-        self.labels = labels
         self.samples: list[float] = []
-        self._reservoir = reservoir
-        self._rng = random.Random(seed) if reservoir is not None else None
         self._count = 0
         self._sum = 0.0
         self._min = 0.0
@@ -117,25 +67,13 @@ class Histogram:
                 self._max = value
         self._count += 1
         self._sum += value
-        if self._reservoir is None or len(self.samples) < self._reservoir:
-            self.samples.append(value)
-        else:
-            # Algorithm R: the new sample replaces a uniformly-random
-            # slot with probability reservoir/count.
-            slot = self._rng.randrange(self._count)
-            if slot < self._reservoir:
-                self.samples[slot] = value
+        self.samples.append(value)
 
-    @property
-    def sampled(self) -> bool:
-        """True once the reservoir has displaced at least one sample."""
-        return self._reservoir is not None and self._count > self._reservoir
-
-    def summary(self) -> dict[str, float | bool]:
+    def summary(self) -> dict[str, float]:
         if self._count == 0:
             return {
                 "count": 0, "sum": 0.0, "min": 0.0, "max": 0.0,
-                "mean": 0.0, "p50": 0.0, "p95": 0.0, "sampled": False,
+                "mean": 0.0, "p50": 0.0, "p95": 0.0,
             }
         ordered = sorted(self.samples)
         n = len(ordered)
@@ -151,32 +89,15 @@ class Histogram:
             "mean": self._sum / self._count,
             "p50": pct(0.50),
             "p95": pct(0.95),
-            "sampled": self.sampled,
         }
 
 
 class InstrumentRegistry:
-    """Families of labelled counters/gauges/histograms.
+    """Families of labelled counters and histograms."""
 
-    ``histogram_reservoir`` switches every histogram to bounded-memory
-    reservoir sampling (see :class:`Histogram`); ``seed`` makes the
-    reservoirs deterministic — each instrument derives its own stream
-    from the registry seed and its (name, labels) identity, so sampling
-    is reproducible and independent of creation order.
-    """
-
-    def __init__(
-        self, *, histogram_reservoir: int | None = None, seed: int = 0
-    ) -> None:
-        if histogram_reservoir is not None and histogram_reservoir < 1:
-            raise ValueError(
-                f"histogram_reservoir must be >= 1, got {histogram_reservoir}"
-            )
+    def __init__(self) -> None:
         self._counters: dict[str, dict[LabelKey, Counter]] = {}
-        self._gauges: dict[str, dict[LabelKey, Gauge]] = {}
         self._histograms: dict[str, dict[LabelKey, Histogram]] = {}
-        self._histogram_reservoir = histogram_reservoir
-        self._seed = seed
 
     # -- get-or-create accessors ---------------------------------------
     def counter(self, name: str, **labels: str) -> Counter:
@@ -187,41 +108,18 @@ class InstrumentRegistry:
             inst = family[key] = Counter({k: v for k, v in key})
         return inst
 
-    def gauge(self, name: str, **labels: str) -> Gauge:
-        family = self._gauges.setdefault(name, {})
-        key = _label_key(labels)
-        inst = family.get(key)
-        if inst is None:
-            inst = family[key] = Gauge({k: v for k, v in key})
-        return inst
-
     def histogram(self, name: str, **labels: str) -> Histogram:
         family = self._histograms.setdefault(name, {})
         key = _label_key(labels)
         inst = family.get(key)
         if inst is None:
-            identity = name + "|" + "|".join(f"{k}={v}" for k, v in key)
-            inst = family[key] = Histogram(
-                {k: v for k, v in key},
-                reservoir=self._histogram_reservoir,
-                seed=self._seed ^ zlib.crc32(identity.encode()),
-            )
+            inst = family[key] = Histogram({k: v for k, v in key})
         return inst
 
     # -- export --------------------------------------------------------
-    def iter_scalars(self) -> Iterator[tuple[str, str, dict[str, str], float]]:
-        """Every counter and gauge as ``(kind, name, labels, value)``,
-        in deterministic sorted order (the time-series recorder samples
-        this once per epoch)."""
-        for kind, families in (("counter", self._counters), ("gauge", self._gauges)):
-            for name in sorted(families):
-                for key in sorted(families[name]):
-                    inst = families[name][key]
-                    yield kind, name, inst.labels, inst.value
-
     def snapshot(self) -> dict[str, list[dict[str, object]]]:
-        """Everything as plain dicts: ``{counters: [...], gauges: [...],
-        histograms: [...]}``, each entry ``{name, labels, ...}``."""
+        """Everything as plain dicts: ``{counters: [...], histograms:
+        [...]}``, each entry ``{name, labels, ...}`` in sorted order."""
 
         def rows(families, render):
             out = []
@@ -233,16 +131,5 @@ class InstrumentRegistry:
 
         return {
             "counters": rows(self._counters, lambda c: {"value": c.value}),
-            "gauges": rows(self._gauges, lambda g: {"value": g.value}),
             "histograms": rows(self._histograms, lambda h: h.summary()),
         }
-
-    def to_json(self, path: str | pathlib.Path) -> None:
-        """Write :meth:`snapshot` to ``path`` (pretty-printed, newline-terminated)."""
-        pathlib.Path(path).write_text(json.dumps(self.snapshot(), indent=1) + "\n")
-
-    def reset(self) -> None:
-        """Drop every instrument (test isolation)."""
-        self._counters.clear()
-        self._gauges.clear()
-        self._histograms.clear()

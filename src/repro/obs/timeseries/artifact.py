@@ -12,8 +12,8 @@ the dashboard):
 
 * engine metric series keep their collector name: ``utilization``;
 * per-datacenter signals are ``traffic_dc/<dc>``;
-* instrument scalars are ``counter/<name>{k=v,...}`` and
-  ``gauge/<name>{k=v,...}`` (labels sorted, omitted when empty);
+* work counters are ``work/<name>`` and applied-action counts by policy
+  reason are ``decision/<reason>``;
 * phase timings are ``phase_s/<phase>`` (seconds per epoch).
 """
 

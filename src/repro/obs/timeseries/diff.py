@@ -82,13 +82,7 @@ POLARITY: tuple[tuple[str, int], ...] = (
     ("stale_replica_fraction", -1),
     ("stale_read_fraction", -1),
     ("propagation_transfers", 0),
-    # Families by prefix/suffix.
-    ("counter/sla_miss_total*", -1),
-    ("counter/invariant_violations_total*", -1),
-    ("counter/trace_events_dropped_total*", -1),
-    ("counter/partitions_restored_total*", -1),
-    ("gauge/total_replicas*", -1),
-    ("gauge/alive_servers*", 0),
+    # Families by prefix.
     ("phase_s/*", -1),
     # Work counters are algorithmic observations: more work at equal
     # output is worth seeing, not worth gating (repro perfdiff
@@ -100,8 +94,6 @@ POLARITY: tuple[tuple[str, int], ...] = (
     # decision-level answer).
     ("decision/*", 0),
     ("traffic_dc/*", 0),
-    ("counter/*", 0),
-    ("gauge/*", 0),
 )
 
 #: Per-column (relative, absolute) tolerance overrides; the default is
@@ -121,8 +113,6 @@ DEFAULT_TOLERANCES: tuple[tuple[str, tuple[float, float]], ...] = (
     ("phase_s/*", (0.50, 1e-3)),
     ("work/*", (0.05, 2.0)),
     ("decision/*", (0.25, 5.0)),
-    ("counter/*", (0.10, 2.0)),
-    ("gauge/*", (0.10, 2.0)),
 )
 
 

@@ -2,8 +2,8 @@
 
 The engine drives one :class:`TimeseriesRecorder` per run: once per
 epoch it hands over the epoch's metric values, per-datacenter traffic,
-instrument scalars and phase timings as one flat ``{column: value}``
-row.  The recorder stores rows columnar (one float list per signal) and
+work and decision counts and phase timings as one flat
+``{column: value}`` row.  The recorder stores rows columnar (one float list per signal) and
 keeps memory bounded by two mechanisms:
 
 * a **sampling stride** — only epochs divisible by ``stride`` are
@@ -17,7 +17,7 @@ keeps memory bounded by two mechanisms:
 Downsampling is streaming and deterministic: incoming rows accumulate
 in a pending bucket of ``decimation`` samples that is flushed as its
 mean, so recorder state never depends on when you look at it.  Column
-sets may grow mid-run (a counter first incremented at epoch 500):
+sets may grow mid-run (a decision reason first applied at epoch 500):
 earlier points are backfilled with zero, matching counter semantics.
 """
 

@@ -62,7 +62,6 @@ from ..net.coordinates import INTRA_DATACENTER_KM
 from ..net.graph import WanGraph
 from ..net.routing import Router
 from ..obs.profiler import NullProfiler, PhaseProfiler
-from ..obs.registry import InstrumentRegistry
 from ..obs.trace import NullTracer, TraceEvent, Tracer
 from ..ring.hashring import HashRing
 from ..ring.partition import PartitionMapper
@@ -130,17 +129,15 @@ class Simulation:
         Topology overrides (defaults: the paper's 10-site deployment).
     tracer:
         Optional :class:`~repro.obs.trace.Tracer`; every membership
-        event, restore, applied/skipped action and SLA violation emits
-        one typed record.  Defaults to a :class:`NullTracer` whose cost
-        is one attribute check per emission site.
+        event, restore, WAN link change, applied/skipped action,
+        invariant violation and SLA violation emits one typed record.
+        The trace is the only source of event counters:
+        :func:`repro.obs.analysis.registry_from_events` rebuilds them.
+        Defaults to a :class:`NullTracer` whose cost is one attribute
+        check per emission site.
     profiler:
         Optional :class:`~repro.obs.profiler.PhaseProfiler` timing the
         six phases of :meth:`step`.  Defaults to a no-op.
-    instruments:
-        Optional :class:`~repro.obs.registry.InstrumentRegistry`; when
-        given, the engine maintains labelled counters
-        (``actions_total{kind=..., reason=..., policy=...}``), gauges
-        and the ``replica_lifetime_epochs`` histogram.
     chaos:
         Optional :class:`~repro.chaos.schedule.ChaosSchedule`; compiled
         against this simulation's cluster at construction (victims drawn
@@ -156,9 +153,9 @@ class Simulation:
     timeseries:
         Optional :class:`~repro.obs.timeseries.TimeseriesRecorder`;
         once per epoch the engine feeds it the epoch's metric values,
-        per-datacenter traffic, every instrument counter/gauge (when
-        ``instruments`` is attached) and phase timings (when a real
-        profiler is attached), plus membership/chaos event markers.
+        per-datacenter traffic, applied actions per policy reason, work
+        counters (when ``work`` is attached) and phase timings (when a
+        real profiler is attached), plus membership/chaos event markers.
     sanitizer:
         Optional :class:`~repro.staticcheck.sanitizer.DeterminismSanitizer`;
         once per epoch (end of the record phase) the engine feeds it the
@@ -193,7 +190,6 @@ class Simulation:
         consistency: ConsistencyConfig | None = None,
         tracer: Tracer | None = None,
         profiler: PhaseProfiler | None = None,
-        instruments: InstrumentRegistry | None = None,
         chaos: ChaosSchedule | None = None,
         invariants: InvariantChecker | bool | None = None,
         timeseries: TimeseriesRecorder | None = None,
@@ -204,7 +200,6 @@ class Simulation:
         self.config = config
         self.tracer: Tracer = tracer if tracer is not None else NullTracer()
         self.profiler = profiler if profiler is not None else NullProfiler()
-        self.instruments = instruments
         self.timeseries = timeseries
         self.sanitizer = sanitizer
         #: Decision-provenance ledger (``repro.obs.provenance``); when
@@ -284,7 +279,7 @@ class Simulation:
         self._smoothed_load = np.zeros(self.cluster.num_servers, dtype=np.float64)
         self._load_initialized = False
         self.policy = self._resolve_policy(policy)
-        #: Policy tag stamped on every trace record and instrument label.
+        #: Policy tag stamped on every trace record.
         self.policy_name: str = getattr(
             self.policy, "name", type(self.policy).__name__
         )
@@ -303,13 +298,6 @@ class Simulation:
             attach_prov = getattr(self.policy, "attach_provenance", None)
             if attach_prov is not None:
                 attach_prov(provenance)
-        # Birth epochs of live copies, feeding the replica-lifetime
-        # histogram; only maintained when instruments are attached.
-        self._replica_birth: dict[tuple[int, int], int] = {}
-        if self.instruments is not None:
-            for partition in range(self.replicas.num_partitions):
-                for sid, _count in self.replicas.servers_with(partition):
-                    self._replica_birth[(partition, sid)] = 0
         # Bootstrap placements are engine-internal (no action produced
         # them), so lineage reconstruction from a trace alone needs them
         # emitted explicitly — one record per original copy.
@@ -327,9 +315,6 @@ class Simulation:
                             extra={"dc": self.cluster.dc_of(sid)},
                         )
                     )
-        # High-water mark of the tracer's drop counter already exported
-        # to the trace_events_dropped_total instrument.
-        self._dropped_exported = 0.0
         # Applied-action counts by policy reason for the last epoch,
         # exported as ``decision/<reason>`` time-series columns.
         self._decision_counts: dict[str, float] = {}
@@ -472,24 +457,6 @@ class Simulation:
                         },
                     )
                 )
-            if self.instruments is not None:
-                self.instruments.counter(
-                    "sla_miss_total", policy=self.policy_name
-                ).inc(float(result.sla_miss))
-                self.instruments.gauge(
-                    "total_replicas", policy=self.policy_name
-                ).set(float(self.replicas.total_replicas()))
-                self.instruments.gauge(
-                    "alive_servers", policy=self.policy_name
-                ).set(float(len(self.cluster.alive_servers())))
-                # Surface silent ring-buffer eviction: without this the
-                # only sign of a truncated trace is a missing tail.
-                dropped = float(getattr(self.tracer, "dropped", 0))
-                if dropped > self._dropped_exported:
-                    self.instruments.counter("trace_events_dropped_total").inc(
-                        dropped - self._dropped_exported
-                    )
-                    self._dropped_exported = dropped
             consistency = None
             if self.consistency is not None:
                 consistency = self.consistency.observe(
@@ -522,14 +489,6 @@ class Simulation:
         per_dc = result.traffic_cells.column_sums()
         for dc in range(per_dc.shape[0]):
             row[f"traffic_dc/{dc}"] = float(per_dc[dc])
-        if self.instruments is not None:
-            for kind, name, labels, value in self.instruments.iter_scalars():
-                suffix = (
-                    "{" + ",".join(f"{k}={v}" for k, v in sorted(labels.items())) + "}"
-                    if labels
-                    else ""
-                )
-                row[f"{kind}/{name}{suffix}"] = value
         if self.profiler.enabled:
             for phase, seconds in self.profiler.latest().items():
                 row[f"phase_s/{phase}"] = seconds
@@ -558,10 +517,6 @@ class Simulation:
                         extra={"detail": violation.detail},
                     )
                 )
-            if self.instruments is not None:
-                self.instruments.counter(
-                    "invariant_violations_total", invariant=violation.invariant
-                ).inc()
         if violations and self.invariants.strict:
             raise violations[0]
 
@@ -584,19 +539,19 @@ class Simulation:
                 for sid in sids:
                     self.cluster.recover_server(sid)
                     self.ring.add_server(sid)
-                    self._trace_membership(
+                    self._note_event(
                         epoch,
                         "server_recovery",
-                        sid,
                         RECOVERY,
+                        server=sid,
                         dc=self.cluster.dc_of(sid),
                     )
             elif isinstance(event, ServerJoinEvent):
                 for _ in range(event.count):
                     server = self.cluster.join_server(event.dc)
                     self.ring.add_server(server.sid)
-                    self._trace_membership(
-                        epoch, "server_join", server.sid, JOIN, dc=event.dc
+                    self._note_event(
+                        epoch, "server_join", JOIN, server=server.sid, dc=event.dc
                     )
             elif isinstance(event, ChaosFailureEvent):
                 # Chaos injections may overlap (flapping over a rolling
@@ -611,11 +566,11 @@ class Simulation:
                         continue
                     self.cluster.recover_server(sid)
                     self.ring.add_server(sid)
-                    self._trace_membership(
+                    self._note_event(
                         epoch,
                         "server_recovery",
-                        sid,
                         event.cause,
+                        server=sid,
                         dc=self.cluster.dc_of(sid),
                     )
             elif isinstance(event, LinkFailureEvent):
@@ -652,24 +607,21 @@ class Simulation:
             self.router = self._base_router
         kind = "link_failure" if down else "link_recovery"
         for u, v in changed:
-            if self.timeseries is not None:
-                self.timeseries.mark(epoch, kind, cause)
-            if self.tracer.enabled:
-                self.tracer.emit(
-                    TraceEvent(
-                        epoch=epoch,
-                        kind=kind,
-                        reason=cause,
-                        policy=self.policy_name,
-                        extra={"u": u, "v": v},
-                    )
-                )
-            if self.instruments is not None:
-                self.instruments.counter("wan_link_events_total", kind=kind).inc()
+            self._note_event(epoch, kind, cause, u=u, v=v)
 
-    def _trace_membership(
-        self, epoch: int, kind: str, sid: int, reason: str, **extra: object
+    def _note_event(
+        self,
+        epoch: int,
+        kind: str,
+        reason: str,
+        *,
+        server: int | None = None,
+        partition: int | None = None,
+        **extra: object,
     ) -> None:
+        """Record a membership, link or restore event: the time-series
+        marker first, then the trace record, whose ``extra`` keys keep
+        their call order (the JSONL byte order)."""
         if self.timeseries is not None:
             self.timeseries.mark(epoch, kind, reason)
         if self.tracer.enabled:
@@ -677,14 +629,13 @@ class Simulation:
                 TraceEvent(
                     epoch=epoch,
                     kind=kind,
-                    server=sid,
+                    server=server,
+                    partition=partition,
                     reason=reason,
                     policy=self.policy_name,
-                    extra=dict(extra),
+                    extra=extra,
                 )
             )
-        if self.instruments is not None:
-            self.instruments.counter("membership_events_total", kind=kind).inc()
 
     def _fail(self, sids: Iterable[int], epoch: int, cause: str) -> None:
         for sid in sids:
@@ -693,23 +644,15 @@ class Simulation:
             self.ring.remove_server(sid)
             # ``partitions`` names every copy that died with the server,
             # so trace consumers can close the right replica lifecycles.
-            self._trace_membership(
+            self._note_event(
                 epoch,
                 "server_failure",
-                sid,
                 cause,
+                server=sid,
                 replicas_lost=len(dropped),
                 partitions=list(dropped),
                 dc=self.cluster.dc_of(sid),
             )
-            if self.instruments is not None:
-                lifetimes = self.instruments.histogram(
-                    "replica_lifetime_epochs", policy=self.policy_name
-                )
-                for partition in dropped:
-                    born = self._replica_birth.pop((partition, sid), None)
-                    if born is not None:
-                        lifetimes.observe(float(epoch - born))
 
     def _restore_lost_partitions(self, epoch: int) -> int:
         """Re-create partitions that lost every copy at their current ring
@@ -724,23 +667,14 @@ class Simulation:
                 self.work.ring_lookups += 1
             self.replicas.restore(partition, owner)
             restored += 1
-            if self.timeseries is not None:
-                self.timeseries.mark(epoch, "partition_restore", ALL_COPIES_LOST)
-            if self.tracer.enabled:
-                self.tracer.emit(
-                    TraceEvent(
-                        epoch=epoch,
-                        kind="partition_restore",
-                        server=owner,
-                        partition=partition,
-                        reason=ALL_COPIES_LOST,
-                        policy=self.policy_name,
-                        extra={"dc": self.cluster.dc_of(owner)},
-                    )
-                )
-            if self.instruments is not None:
-                self.instruments.counter("partitions_restored_total").inc()
-                self._replica_birth[(partition, owner)] = epoch
+            self._note_event(
+                epoch,
+                "partition_restore",
+                ALL_COPIES_LOST,
+                server=owner,
+                partition=partition,
+                dc=self.cluster.dc_of(owner),
+            )
         return restored
 
     def _serve_epoch(self, batch: "QueryBatch") -> ServiceResult:
@@ -880,13 +814,6 @@ class Simulation:
                     extra=dict(extra),
                 )
             )
-        if self.instruments is not None:
-            self.instruments.counter(
-                "actions_total",
-                kind=kind,
-                reason=action.reason,
-                policy=self.policy_name,
-            ).inc()
 
     def _skip_action(
         self, epoch: int, kind: str, action: Action, cause: str, stats: dict[str, float]
@@ -906,20 +833,6 @@ class Simulation:
                     extra={"action": kind, "cause": cause},
                 )
             )
-        if self.instruments is not None:
-            self.instruments.counter(
-                "actions_skipped_total", kind=kind, cause=cause
-            ).inc()
-
-    def _observe_replica_death(self, epoch: int, partition: int, sid: int) -> None:
-        """Feed the lifetime histogram when a copy is deliberately removed."""
-        if self.instruments is None:
-            return
-        born = self._replica_birth.pop((partition, sid), None)
-        if born is not None:
-            self.instruments.histogram(
-                "replica_lifetime_epochs", policy=self.policy_name
-            ).observe(float(epoch - born))
 
     def _transfer_distance_km(self, src_dc: int, dst_dc: int) -> float:
         if src_dc == dst_dc:
@@ -962,8 +875,6 @@ class Simulation:
             self.config.cluster.replication_bandwidth_mb,
         )
         stats["replication_cost"] += cost
-        if self.instruments is not None:
-            self._replica_birth[(action.partition, action.target_sid)] = epoch
         self._count_decision(action)
         self._note_fate(epoch, "replicate", action, "applied", target_dc=target.dc)
         self._trace_action(
@@ -1013,9 +924,6 @@ class Simulation:
             self.config.cluster.migration_bandwidth_mb,
         )
         stats["migration_cost"] += cost
-        if self.instruments is not None:
-            self._observe_replica_death(epoch, action.partition, action.source_sid)
-            self._replica_birth[(action.partition, action.target_sid)] = epoch
         self._count_decision(action)
         self._note_fate(epoch, "migrate", action, "applied", target_dc=target.dc)
         self._trace_action(
@@ -1045,7 +953,6 @@ class Simulation:
         stats["suicide_count"] += 1
         if self.work is not None:
             self.work.evict_actions += 1
-        self._observe_replica_death(epoch, action.partition, action.sid)
         self._count_decision(action)
         self._note_fate(
             epoch,

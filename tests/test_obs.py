@@ -10,6 +10,7 @@ import warnings
 import numpy as np
 import pytest
 
+from repro.cli import _warn_dropped
 from repro.config import SimulationConfig, WorkloadParameters
 from repro.obs import (
     ENGINE_PHASES,
@@ -23,6 +24,7 @@ from repro.obs import (
     TraceReadWarning,
     read_jsonl,
 )
+from repro.obs.analysis import registry_from_events
 from repro.obs.profiler import _percentile
 from repro.sim.engine import Simulation
 from repro.sim.events import ServerFailureEvent, ServerJoinEvent, ServerRecoveryEvent
@@ -205,13 +207,6 @@ class TestRegistry:
         with pytest.raises(ValueError):
             InstrumentRegistry().counter("c").inc(-1)
 
-    def test_gauge_moves_both_ways(self):
-        gauge = InstrumentRegistry().gauge("g")
-        gauge.set(5)
-        gauge.dec(2)
-        gauge.inc(0.5)
-        assert gauge.value == 3.5
-
     def test_histogram_summary(self):
         hist = InstrumentRegistry().histogram("h")
         for v in [1.0, 2.0, 3.0, 4.0]:
@@ -220,28 +215,19 @@ class TestRegistry:
         assert summary["count"] == 4
         assert summary["min"] == 1.0 and summary["max"] == 4.0
         assert summary["mean"] == pytest.approx(2.5)
+        # Every sample is kept, so the quantiles are exact.
+        assert hist.samples == [1.0, 2.0, 3.0, 4.0]
+        assert summary["p95"] == 4.0
 
-    def test_snapshot_and_json_export(self, tmp_path):
+    def test_snapshot_and_json_export(self):
         reg = InstrumentRegistry()
         reg.counter("actions_total", kind="suicide").inc(3)
-        reg.gauge("alive_servers").set(99)
         reg.histogram("lifetime").observe(7.0)
         snap = reg.snapshot()
         assert snap["counters"][0]["labels"] == {"kind": "suicide"}
         assert snap["counters"][0]["value"] == 3
-        assert snap["gauges"][0]["value"] == 99
         assert snap["histograms"][0]["count"] == 1
-        path = tmp_path / "inst.json"
-        reg.to_json(path)
-        text = path.read_text()
-        assert text.endswith("\n")
-        assert json.loads(text) == snap
-
-    def test_reset_isolates_tests(self):
-        reg = InstrumentRegistry()
-        reg.counter("c").inc()
-        reg.reset()
-        assert reg.snapshot() == {"counters": [], "gauges": [], "histograms": []}
+        assert json.loads(json.dumps(snap)) == snap
 
     def test_snapshot_deterministic_across_insertion_orders(self):
         """Two registries fed the same instruments in different creation
@@ -249,88 +235,17 @@ class TestRegistry:
         a = InstrumentRegistry()
         a.counter("actions_total", kind="migrate", policy="rfh").inc(2)
         a.counter("actions_total", kind="replicate", policy="rfh").inc(5)
-        a.gauge("alive_servers").set(90)
-        a.gauge("total_replicas", dc="0").set(12)
+        a.counter("sla_miss_total", policy="rfh").inc(7)
         a.histogram("lifetime", policy="rfh").observe(3.0)
 
         b = InstrumentRegistry()
         b.histogram("lifetime", policy="rfh").observe(3.0)
-        b.gauge("total_replicas", dc="0").set(12)
-        b.gauge("alive_servers").set(90)
+        b.counter("sla_miss_total", policy="rfh").inc(7)
         b.counter("actions_total", policy="rfh", kind="replicate").inc(5)
         b.counter("actions_total", policy="rfh", kind="migrate").inc(2)
 
         assert a.snapshot() == b.snapshot()
         assert json.dumps(a.snapshot()) == json.dumps(b.snapshot())
-        assert list(a.iter_scalars()) == list(b.iter_scalars())
-
-    def test_iter_scalars_counters_then_gauges_sorted(self):
-        reg = InstrumentRegistry()
-        reg.gauge("zz").set(1)
-        reg.counter("aa", k="2").inc()
-        reg.counter("aa", k="1").inc()
-        rows = list(reg.iter_scalars())
-        assert [(kind, name, labels) for kind, name, labels, _ in rows] == [
-            ("counter", "aa", {"k": "1"}),
-            ("counter", "aa", {"k": "2"}),
-            ("gauge", "zz", {}),
-        ]
-
-
-class TestHistogramReservoir:
-    def test_exact_mode_is_default_and_never_sampled(self):
-        hist = InstrumentRegistry().histogram("h")
-        for v in range(1000):
-            hist.observe(float(v))
-        assert len(hist.samples) == 1000
-        assert hist.summary()["sampled"] is False
-
-    def test_reservoir_bounds_memory_and_flags_summary(self):
-        reg = InstrumentRegistry(histogram_reservoir=64, seed=1)
-        hist = reg.histogram("h")
-        for v in range(10_000):
-            hist.observe(float(v))
-        assert len(hist.samples) == 64
-        summary = hist.summary()
-        assert summary["sampled"] is True
-        # Count/sum/min/max/mean stay exact regardless of sampling.
-        assert summary["count"] == 10_000
-        assert summary["min"] == 0.0 and summary["max"] == 9999.0
-        assert summary["mean"] == pytest.approx(4999.5)
-        # Quantile estimates land in a plausible band for a uniform ramp.
-        assert 2000.0 < summary["p50"] < 8000.0
-
-    def test_reservoir_not_flagged_until_displacement(self):
-        reg = InstrumentRegistry(histogram_reservoir=8)
-        hist = reg.histogram("h")
-        for v in range(8):
-            hist.observe(float(v))
-        assert hist.summary()["sampled"] is False  # reservoir still exact
-
-    def test_reservoir_deterministic_and_order_independent_seeding(self):
-        def fill(reg):
-            hist = reg.histogram("h", policy="rfh")
-            for v in range(500):
-                hist.observe(float(v))
-            return sorted(hist.samples)
-
-        # Same seed -> identical sample; per-instrument seed derives from
-        # (name, labels), so creating other instruments first changes nothing.
-        a = InstrumentRegistry(histogram_reservoir=16, seed=7)
-        b = InstrumentRegistry(histogram_reservoir=16, seed=7)
-        b.histogram("unrelated")
-        b.counter("c").inc()
-        assert fill(a) == fill(b)
-        c = InstrumentRegistry(histogram_reservoir=16, seed=8)
-        assert fill(a) != fill(c)  # different seed, different sample
-
-    def test_reservoir_validation(self):
-        with pytest.raises(ValueError):
-            InstrumentRegistry(histogram_reservoir=0)
-        from repro.obs.registry import Histogram
-
-        with pytest.raises(ValueError):
-            Histogram({}, reservoir=0)
 
 
 # ----------------------------------------------------------------------
@@ -387,7 +302,6 @@ class TestEngineTracing:
             _small_config(seed=5),
             tracer=RingBufferTracer(),
             profiler=PhaseProfiler(),
-            instruments=InstrumentRegistry(),
         )
         traced = traced_sim.run(20)
         for name in plain.names():
@@ -396,27 +310,28 @@ class TestEngineTracing:
             )
 
     def test_instruments_count_actions_and_lifetimes(self):
-        registry = InstrumentRegistry()
-        sim = Simulation(_small_config(), instruments=registry)
-        metrics = sim.run(60)
-        snap = registry.snapshot()
-        counted = sum(
-            row["value"]
-            for row in snap["counters"]
-            if row["name"] == "actions_total"
-        )
-        applied = (
-            metrics.array("replication_count").sum()
-            + metrics.array("migration_count").sum()
-            + metrics.array("suicide_count").sum()
-        )
-        assert counted == applied
+        """The counters rebuilt from the trace agree with the metric
+        series the engine records for the same run."""
+        tracer = RingBufferTracer()
+        metrics = Simulation(_small_config(), tracer=tracer).run(60)
+        snap = registry_from_events(tracer.events()).snapshot()
+        counted: dict[str, float] = {}
+        for row in snap["counters"]:
+            if row["name"] == "actions_total":
+                kind = row["labels"]["kind"]
+                counted[kind] = counted.get(kind, 0.0) + row["value"]
+        for kind, series in (
+            ("replicate", "replication_count"),
+            ("migrate", "migration_count"),
+            ("suicide", "suicide_count"),
+        ):
+            assert counted.get(kind, 0.0) == metrics.array(series).sum(), kind
         suicides = metrics.array("suicide_count").sum()
-        lifetimes = [
+        assert suicides > 0, "run applied no suicides"
+        (lifetimes,) = [
             row for row in snap["histograms"] if row["name"] == "replica_lifetime_epochs"
         ]
-        if suicides > 0:
-            assert lifetimes and lifetimes[0]["count"] >= suicides
+        assert lifetimes["count"] >= suicides
 
     def test_sla_violations_traced_when_queries_block(self):
         tracer = RingBufferTracer()
@@ -504,19 +419,20 @@ class TestCrashSafeReadJsonl:
             assert len(list(read_jsonl(path))) == 1
 
 
-class TestDroppedEventsInstrument:
-    def test_ring_overflow_exported_as_counter(self):
-        registry = InstrumentRegistry()
+class TestDroppedEventsWarning:
+    def test_drops_named_on_stderr(self, capsys):
         tracer = RingBufferTracer(capacity=8)
-        Simulation(_small_config(), tracer=tracer, instruments=registry).run(30)
+        Simulation(_small_config(), tracer=tracer).run(30)
         assert tracer.dropped > 0
-        exported = registry.counter("trace_events_dropped_total").value
-        assert 0 < exported <= tracer.dropped
+        _warn_dropped(tracer)
+        captured = capsys.readouterr()
+        assert f"evicted {tracer.dropped} events" in captured.err
+        assert captured.out == ""
 
-    def test_no_drops_no_counter_sample(self):
-        registry = InstrumentRegistry()
+    def test_no_drops_stays_silent(self, capsys):
         tracer = RingBufferTracer(capacity=1_000_000)
-        Simulation(_small_config(), tracer=tracer, instruments=registry).run(10)
+        Simulation(_small_config(), tracer=tracer).run(10)
         assert tracer.dropped == 0
-        names = {row["name"] for row in registry.snapshot()["counters"]}
-        assert "trace_events_dropped_total" not in names
+        _warn_dropped(tracer)
+        _warn_dropped(None)  # no tracer attached
+        assert capsys.readouterr() == ("", "")

@@ -11,7 +11,6 @@ from repro.obs import (
     InstrumentRegistry,
     JsonlTracer,
     PhaseProfiler,
-    RingBufferTracer,
     TraceEvent,
 )
 from repro.obs.analysis import (
@@ -131,30 +130,71 @@ class TestLineage:
         assert summary["lifetime_epochs"]["mean"] == 4.0
 
 
+class _CellLog:
+    """A replica-map mirror that logs when each (partition, server) cell
+    fills (count 0 -> 1+) and empties (-> 0), at the engine's epoch."""
+
+    def __init__(self, sim: Simulation) -> None:
+        self._sim = sim
+        self.born: dict[tuple[int, int], int] = {}
+        self.deaths: list[tuple[int, int, int, int]] = []
+        self.max_count = 0
+        self._counts: dict[tuple[int, int], int] = {}
+        for partition in range(sim.replicas.num_partitions):
+            for sid, count in sim.replicas.servers_with(partition):
+                self.on_count(partition, sid, count)  # bootstrap: epoch 0
+        sim.replicas.attach_mirror(self)
+
+    def on_count(self, partition: int, sid: int, count: int) -> None:
+        cell = (partition, sid)
+        before = self._counts.get(cell, 0)
+        self._counts[cell] = count
+        self.max_count = max(self.max_count, count)
+        epoch = self._sim.clock.epoch
+        if before == 0 and count > 0:
+            self.born[cell] = epoch
+        elif before > 0 and count == 0:
+            self.deaths.append((partition, sid, self.born.pop(cell), epoch))
+
+    def on_holder(self, partition: int, sid: int | None) -> None:
+        pass
+
+
 class TestLineageRoundTrip:
-    def test_trace_reconstruction_matches_engine_histogram(self, tmp_path):
-        """simulate → JSONL → analyze: the reconstructed closed-stay
-        durations equal the engine-side replica_lifetime_epochs
-        histogram exactly (multiset equality, not just counts)."""
+    def test_trace_reconstruction_matches_replica_map(self, tmp_path):
+        """simulate → JSONL → analyze: lineage's closed stays are the
+        replica map's cell deaths (birth and death epochs included), and
+        its open stays are the cells still occupied at the end."""
         path = tmp_path / "trace.jsonl"
-        registry = InstrumentRegistry()
         with JsonlTracer(path) as tracer:
             sim = Simulation(
                 _small_config(),
                 tracer=tracer,
-                instruments=registry,
                 events=[MassFailureEvent(epoch=30, count=40)],
             )
+            log = _CellLog(sim)
             sim.run(80)
-        engine_samples = registry.histogram(
-            "replica_lifetime_epochs", policy=sim.policy_name
-        ).samples
-        assert engine_samples, "run produced no replica deaths"
-        analysis = analyze_trace(path)
-        lineage = analysis.policies[sim.policy_name].lineage
-        assert sorted(float(v) for v in lineage.stay_lifetimes()) == sorted(
-            engine_samples
-        )
+        assert log.max_count == 1, "a cell held two copies"
+        assert log.deaths, "run produced no replica deaths"
+        lineage = analyze_trace(path).policies[sim.policy_name].lineage
+        closed = [
+            (stay.partition, stay.sid, stay.born_epoch, stay.end_epoch)
+            for stay in lineage.closed_stays
+        ]
+        assert closed == log.deaths
+        assert lineage.stay_lifetimes() == [end - born for _, _, born, end in log.deaths]
+        open_stays = {
+            (life.partition, life.stays[-1].sid): life.stays[-1].born_epoch
+            for life in lineage.lifecycles
+            if life.alive
+        }
+        assert open_stays == log.born
+        occupied = {
+            (partition, sid)
+            for partition in range(sim.replicas.num_partitions)
+            for sid, _count in sim.replicas.servers_with(partition)
+        }
+        assert set(open_stays) == occupied
 
 
 # ----------------------------------------------------------------------
@@ -321,13 +361,11 @@ class TestExporters:
     def test_prometheus_from_registry_is_valid(self):
         registry = InstrumentRegistry()
         registry.counter("actions_total", kind="migrate", policy="rfh").inc(3)
-        registry.gauge("alive_servers", policy="rfh").set(97)
         for value in (1.0, 5.0, 9.0):
             registry.histogram("replica_lifetime_epochs", policy="rfh").observe(value)
         text = to_prometheus(registry)
         assert_valid_prometheus(text)
         assert '# TYPE actions_total counter' in text
-        assert '# TYPE alive_servers gauge' in text
         assert '# TYPE replica_lifetime_epochs summary' in text
         assert 'replica_lifetime_epochs{policy="rfh",quantile="0.5"} 5' in text
         assert 'replica_lifetime_epochs_count{policy="rfh"} 3' in text
@@ -349,6 +387,10 @@ class TestExporters:
             _event(3, "server_failure", server=2, replicas_lost=1, partitions=[0]),
             _event(4, "partition_restore", server=4, partition=0),
             _event(5, "sla_violation", count=7.0),
+            _event(6, "link_failure", reason="wan-partition", u=1, v=4),
+            _event(9, "link_recovery", reason="wan-partition", u=1, v=4),
+            _event(9, "invariant_violation", server=4, partition=0,
+                   reason="no-copy-on-dead-server", detail="1 copies"),
         ]
         registry = registry_from_events(events)
         snap = {
@@ -362,6 +404,10 @@ class TestExporters:
         assert snap[("membership_events_total", (("kind", "server_failure"),))] == 1
         assert snap[("partitions_restored_total", ())] == 1
         assert snap[("sla_miss_total", (("policy", "rfh"),))] == 7.0
+        assert snap[("wan_link_events_total", (("kind", "link_failure"),))] == 1
+        assert snap[("wan_link_events_total", (("kind", "link_recovery"),))] == 1
+        assert snap[("invariant_violations_total",
+                     (("invariant", "no-copy-on-dead-server"),))] == 1
         # The replicate stay (1..3, killed by the failure) is re-stitched.
         hist = registry.histogram("replica_lifetime_epochs", policy="rfh")
         assert 2.0 in hist.samples

@@ -334,20 +334,21 @@ class TestEngineIntegration:
         assert "server_failure" in kinds
 
     def test_instrument_scalars_and_phase_timings_sampled(self):
-        from repro.obs import InstrumentRegistry, PhaseProfiler
+        from repro.obs import PhaseProfiler
+        from repro.obs.perf.counters import WorkCounters
         from repro.sim.engine import Simulation
 
         rec = TimeseriesRecorder()
         sim = Simulation(
             SimulationConfig(seed=3),
             policy="rfh",
-            instruments=InstrumentRegistry(),
+            work=WorkCounters(),
             profiler=PhaseProfiler(),
             timeseries=rec,
         )
         sim.run(20)
         art = rec.artifact()
-        assert any(c.startswith("counter/") or c.startswith("gauge/") for c in art.columns)
+        assert any(c.startswith("work/") for c in art.columns)
         assert "phase_s/serve" in art.columns
         assert art.column("phase_s/serve").max() > 0.0
 
