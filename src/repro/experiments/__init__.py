@@ -37,9 +37,6 @@ _DEFERRED = {
     "alpha_sweep": "ablations",
     "placement_ablation": "ablations",
     "threshold_sweep": "ablations",
-    "MetricStats": "replication",
-    "ReplicationResult": "replication",
-    "replicate": "replication",
     "SlaResult": "sla",
     "sla_comparison": "sla",
     "SurgeResult": "surges",
@@ -73,9 +70,6 @@ __all__ = [
     "alpha_sweep",
     "threshold_sweep",
     "placement_ablation",
-    "MetricStats",
-    "ReplicationResult",
-    "replicate",
 ]
 
 
