@@ -63,7 +63,6 @@ from .thresholds import (
     is_blocked,
     is_holder_overloaded,
     is_suicide_candidate,
-    is_traffic_hub,
     migration_benefit_met,
 )
 

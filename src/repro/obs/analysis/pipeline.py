@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import pathlib
 import warnings
-from collections.abc import Iterable, Sequence
+from collections.abc import Iterable
 from dataclasses import dataclass, field
 
 from ..trace import TraceEvent, TraceReadWarning, read_jsonl

@@ -62,7 +62,6 @@ class TestHubPlacement:
         extra_dcs = []
         for p in range(16):
             holder = sim.replicas.holder(p)
-            holder_dc = sim.cluster.dc_of(holder)
             for sid, count in sim.replicas.servers_with(p):
                 if sid != holder:
                     extra_dcs.extend([sim.cluster.dc_of(sid)] * count)
