@@ -1,11 +1,22 @@
-"""Shared artifact file I/O: atomic replacement and a streamed JSON writer.
+"""Shared artifact file I/O: one reader, one envelope check, one writer.
 
-The ``.prov.json``, ``.tsdb.json`` and ``.fp.json`` saves write through
+Every JSON artifact the package reads goes through :func:`read_json`,
+which turns any failure to read, decode (UTF-8) or parse the file into
+the caller's typed error naming the file; the versioned formats then
+check their ``format``/``version`` envelope with :func:`check_header`.
+JSON has no NaN or Inf: :func:`nan_to_null` writes them as ``null`` and
+:func:`null_to_nan` reads ``null`` back as NaN.
+
+Every artifact and report the package writes goes through
 :func:`atomic_write`: the document goes to a new sibling of the target
-and is renamed onto it only once complete.  A save that fails or is interrupted part way leaves
-an earlier file at the target untouched and no partial file behind.
-Nothing is synced to disk, so the guarantee covers a failed, interrupted
-or killed process, not a power loss.
+and is renamed onto it only once complete.  A save that fails or is
+interrupted part way leaves an earlier file at the target untouched and
+no partial file behind.  Nothing is synced to disk, so the guarantee
+covers a failed, interrupted or killed process, not a power loss.
+:func:`save_text` and :func:`save_json` are its one-document forms.
+Three writers stay outside it: the streamed JSONL trace, whose partial
+file must stay readable; the metrics CSV, which the ``csv`` module
+writes with ``newline=""``; and the binary ``.npz`` workload traces.
 
 :func:`write_json` writes a document exactly as ``json.dumps(doc,
 indent=1)`` would, but holds one member at a time: a :class:`JsonObject`
@@ -19,12 +30,80 @@ from __future__ import annotations
 
 import contextlib
 import json
+import math
 import os
 import pathlib
 from collections.abc import Iterable, Iterator
 from typing import IO
 
-__all__ = ["JsonArray", "JsonObject", "atomic_write", "write_json"]
+__all__ = [
+    "JsonArray",
+    "JsonObject",
+    "atomic_write",
+    "check_header",
+    "nan_to_null",
+    "null_to_nan",
+    "read_json",
+    "save_json",
+    "save_text",
+    "write_json",
+]
+
+
+def read_json(
+    path: str | os.PathLike[str], error: type[Exception], what: str
+) -> object:
+    """The JSON document in the file at ``path``.
+
+    A file that cannot be read, is not UTF-8 or is not JSON raises
+    ``error`` with a message naming ``what`` and ``path``.
+    """
+    try:
+        with open(path, encoding="utf-8") as handle:
+            return json.load(handle)
+    except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
+        raise error(f"cannot read {what} {path}: {exc}") from exc
+
+
+def check_header(
+    raw: object, fmt: str, version: int, error: type[Exception]
+) -> dict:
+    """``raw`` once it is a JSON object tagged ``format: fmt`` at ``version``;
+    raises ``error`` otherwise."""
+    if not isinstance(raw, dict):
+        raise error(f"not a {fmt} artifact (a {type(raw).__name__}, not a JSON object)")
+    if raw.get("format") != fmt:
+        raise error(f"not a {fmt} artifact (format={raw.get('format')!r})")
+    if raw.get("version") != version:
+        raise error(
+            f"unsupported {fmt} version {raw.get('version')!r} "
+            f"(this build reads version {version})"
+        )
+    return raw
+
+
+def nan_to_null(value: object) -> object:
+    """``value`` with every non-finite float inside it replaced by ``None``
+    (lists, tuples and dicts are copied, tuples as lists)."""
+    if isinstance(value, float):
+        return value if math.isfinite(value) else None
+    if isinstance(value, dict):
+        return {key: nan_to_null(item) for key, item in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [nan_to_null(item) for item in value]
+    return value
+
+
+def null_to_nan(value: object) -> object:
+    """The inverse of :func:`nan_to_null`: every ``None`` inside ``value``
+    reads as NaN (lists and dicts are copied)."""
+    if value is None:
+        return math.nan
+    if isinstance(value, dict):
+        return {key: null_to_nan(item) for key, item in value.items()}
+    if isinstance(value, list):
+        return [null_to_nan(item) for item in value]
+    return value
 
 
 @contextlib.contextmanager
@@ -36,13 +115,16 @@ def atomic_write(path: str | os.PathLike[str]) -> Iterator[IO[str]]:
     it.  On success it is renamed onto that file; on any exception,
     interrupts included, it is removed and ``path`` is left as it was.
     A ``path`` that exists but is not a regular file, such as
-    ``/dev/null`` or a pipe, cannot be replaced and is written in place.
+    ``/dev/null``, a pipe or ``/dev/stdout`` on a terminal or pipe,
+    cannot be replaced and is written in place.
     """
-    target = pathlib.Path(os.path.realpath(path))
-    if target.exists() and not target.is_file():
-        with open(target, "w", encoding="utf-8") as out:
+    # Judged on the path as given: ``/dev/stdout`` on a pipe resolves to
+    # a ``pipe:[...]`` name that has no directory to write beside.
+    if os.path.exists(path) and not os.path.isfile(path):
+        with open(path, "w", encoding="utf-8") as out:
             yield out
         return
+    target = pathlib.Path(os.path.realpath(path))
     tmp, fd = _new_sibling(target)
     try:
         with os.fdopen(fd, "w", encoding="utf-8") as out:
@@ -51,6 +133,19 @@ def atomic_write(path: str | os.PathLike[str]) -> Iterator[IO[str]]:
     except BaseException:
         tmp.unlink(missing_ok=True)
         raise
+
+
+def save_text(path: str | os.PathLike[str], text: str) -> None:
+    """Replace ``path`` with ``text`` through :func:`atomic_write`."""
+    with atomic_write(path) as out:
+        out.write(text)
+
+
+def save_json(
+    path: str | os.PathLike[str], document: object, *, allow_nan: bool = True
+) -> None:
+    """Replace ``path`` with ``json.dumps(document, indent=1) + "\\n"``."""
+    save_text(path, json.dumps(document, indent=1, allow_nan=allow_nan) + "\n")
 
 
 def _new_sibling(target: pathlib.Path) -> tuple[pathlib.Path, int]:

@@ -82,7 +82,6 @@ Examples::
 from __future__ import annotations
 
 import argparse
-import contextlib
 import dataclasses
 import os
 import sys
@@ -190,7 +189,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument(
             "--timeseries-out",
             metavar="PATH.tsdb.json",
-            help="record per-epoch metric/instrument/phase columns and "
+            help="record per-epoch metric, traffic, work, decision and phase columns and "
             "save them as a versioned time-series artifact (compare runs "
             "with `repro diff`, render with `repro dashboard`); the "
             "compare command writes one file per policy, e.g. "
@@ -727,111 +726,6 @@ def _scenario(args: argparse.Namespace) -> Scenario:
     return scenario
 
 
-def _invariants(args: argparse.Namespace):
-    """``--check-invariants`` forces strict checking; otherwise defer to
-    the engine default (the ``REPRO_CHECK_INVARIANTS`` environment)."""
-    return True if getattr(args, "check_invariants", False) else None
-
-
-def _make_tracer(args: argparse.Namespace):
-    """Open the JSONL sink eagerly so a bad path fails before the run."""
-    if getattr(args, "trace_out", None):
-        from .obs.trace import JsonlTracer
-
-        try:
-            return JsonlTracer(args.trace_out)
-        except OSError as exc:
-            raise SystemExit(f"cannot open --trace-out {args.trace_out!r}: {exc}")
-    return None
-
-
-def _make_profiler(args: argparse.Namespace):
-    if getattr(args, "profile", False):
-        from .obs.profiler import PhaseProfiler
-
-        return PhaseProfiler()
-    return None
-
-
-def _make_timeseries(args: argparse.Namespace):
-    if getattr(args, "timeseries_out", None):
-        from .obs.timeseries import TimeseriesRecorder
-
-        if args.timeseries_stride < 1:
-            raise SystemExit(
-                f"--timeseries-stride must be >= 1, got {args.timeseries_stride}"
-            )
-        return TimeseriesRecorder(stride=args.timeseries_stride)
-    return None
-
-
-def _make_sanitizer(args: argparse.Namespace):
-    if getattr(args, "sanitize", False) or getattr(args, "fingerprint_out", None):
-        from .staticcheck.sanitizer import DeterminismSanitizer
-
-        return DeterminismSanitizer()
-    return None
-
-
-def _make_provenance(args: argparse.Namespace):
-    if getattr(args, "provenance_out", None):
-        from .obs.provenance import ProvenanceRecorder
-
-        budget = getattr(args, "provenance_budget", None)
-        if budget is not None and budget < 1:
-            raise SystemExit(f"--provenance-budget must be >= 1, got {budget}")
-        if budget is not None:
-            return ProvenanceRecorder(budget=budget)
-        return ProvenanceRecorder()
-    return None
-
-
-def _save_provenance(recorder, path: str) -> None:
-    artifact = recorder.artifact()
-    artifact.save(path)
-    dropped = artifact.noop_dropped_total
-    compacted = f" ({dropped} no-op decisions compacted)" if dropped else ""
-    print(
-        f"wrote {artifact.num_decisions} decision records "
-        f"({artifact.num_actions} with actions){compacted} to {path}; "
-        f"query with `repro explain {path} --partition P`"
-    )
-
-
-def _report_sanitizer(sanitizer, fingerprint_out: str | None) -> None:
-    """Print the final chain (and save the trail) after a sanitized run."""
-    if sanitizer is None:
-        return
-    trail = sanitizer.trail()
-    print(
-        f"determinism fingerprint: {trail.final_chain} "
-        f"({len(trail)} epoch(s) chained)"
-    )
-    if fingerprint_out:
-        trail.save(fingerprint_out)
-        print(f"wrote fingerprint trail to {fingerprint_out}")
-
-
-def _save_timeseries(recorder, path: str) -> None:
-    artifact = recorder.artifact()
-    artifact.save(path)
-    print(
-        f"wrote {len(artifact.epochs)} time-series points x "
-        f"{len(artifact.columns)} columns to {path}"
-    )
-
-
-def _capture_for_analysis(args: argparse.Namespace, tracer):
-    """When ``--analyze`` was asked without ``--trace-out``, capture
-    events in memory; returns (tracer, ring_buffer_or_None)."""
-    if not getattr(args, "analyze", False) or tracer is not None:
-        return tracer, None
-    from .obs.trace import RingBufferTracer
-
-    ring = RingBufferTracer(capacity=1_000_000)
-    return ring, ring
-
-
 def _warn_dropped(tracer) -> None:
     """Surface silent ring-buffer eviction in the run summary."""
     dropped = getattr(tracer, "dropped", 0)
@@ -843,45 +737,148 @@ def _warn_dropped(tracer) -> None:
         )
 
 
-def _run_analysis(args: argparse.Namespace, ring) -> None:
-    """The in-process ``--analyze`` pipeline for run/compare."""
-    from .obs.analysis import AnalysisOptions, analyze_events, analyze_trace, render_text
+class _Observers:
+    """The observers one ``run``, ``compare`` or ``chaos`` invocation asked for.
 
-    options = AnalysisOptions()
-    if ring is not None:
-        analysis = analyze_events(
-            ring.events(), options=options, source="<in-memory trace>"
-        )
-    else:
-        analysis = analyze_trace(args.trace_out, options=options)
-    print()
-    print(render_text(analysis))
+    The tracer is opened at construction, so a bad ``--trace-out`` path
+    fails before any run: the JSONL sink, or a 1,000,000-event ring when
+    only ``--analyze`` needs the events.  As a context manager it closes
+    the tracer on every path, an engine error included, so a partial
+    trace stays analysable.  Called with a policy name, it returns that
+    run's :func:`run_experiment` keyword arguments: the shared tracer
+    and a fresh profiler, time-series recorder, sanitizer and provenance
+    ledger.  :meth:`finish` saves and reports them all.
+    """
+
+    def __init__(self, args: argparse.Namespace, *, invariants: bool | None) -> None:
+        if args.timeseries_out and args.timeseries_stride < 1:
+            raise SystemExit(
+                f"--timeseries-stride must be >= 1, got {args.timeseries_stride}"
+            )
+        budget = args.provenance_budget
+        if args.provenance_out and budget is not None and budget < 1:
+            raise SystemExit(f"--provenance-budget must be >= 1, got {budget}")
+        self.args = args
+        self.invariants = invariants
+        self.runs: dict[str, dict] = {}
+        self.tracer = self.ring = None
+        if args.trace_out:
+            from .obs.trace import JsonlTracer
+
+            try:
+                self.tracer = JsonlTracer(args.trace_out)
+            except OSError as exc:
+                raise SystemExit(f"cannot open --trace-out {args.trace_out!r}: {exc}")
+        elif args.analyze:
+            from .obs.trace import RingBufferTracer
+
+            self.tracer = self.ring = RingBufferTracer(capacity=1_000_000)
+
+    def __enter__(self) -> _Observers:
+        return self
+
+    def __exit__(self, *exc: object) -> None:
+        if self.tracer is not None:
+            self.tracer.close()
+
+    def __call__(self, policy: str) -> dict:
+        args = self.args
+        run: dict = {"tracer": self.tracer, "invariants": self.invariants}
+        if args.profile:
+            from .obs.profiler import PhaseProfiler
+
+            run["profiler"] = PhaseProfiler()
+        if args.timeseries_out:
+            from .obs.timeseries import TimeseriesRecorder
+
+            run["timeseries"] = TimeseriesRecorder(stride=args.timeseries_stride)
+        if args.sanitize or args.fingerprint_out:
+            from .staticcheck.sanitizer import DeterminismSanitizer
+
+            run["sanitizer"] = DeterminismSanitizer()
+        if args.provenance_out:
+            from .obs.provenance import ProvenanceRecorder
+
+            budget = args.provenance_budget
+            run["provenance"] = (
+                ProvenanceRecorder() if budget is None else ProvenanceRecorder(budget)
+            )
+        self.runs[policy] = run
+        return run
+
+    def finish(self) -> None:
+        """Save every artifact and print the summary, once the tracer is closed.
+
+        Artifacts are reported by kind, each kind in run order; when
+        several policies ran, every path gets the policy tag
+        (``out.rfh.tsdb.json``) and every report names its policy.
+        """
+        args = self.args
+        tagged = len(self.runs) > 1
+
+        def out(path: str, policy: str) -> str:
+            return tagged_path(path, policy) if tagged else path
+
+        if args.trace_out:
+            print(f"wrote {self.tracer.emitted} trace records to {args.trace_out}")
+        for policy, run in self.runs.items():
+            if "timeseries" in run:
+                path = out(args.timeseries_out, policy)
+                series = run["timeseries"].artifact()
+                series.save(path)
+                print(
+                    f"wrote {len(series.epochs)} time-series points x "
+                    f"{len(series.columns)} columns to {path}"
+                )
+        for policy, run in self.runs.items():
+            if "provenance" in run:
+                path = out(args.provenance_out, policy)
+                ledger = run["provenance"].artifact()
+                ledger.save(path)
+                dropped = ledger.noop_dropped_total
+                compacted = f" ({dropped} no-op decisions compacted)" if dropped else ""
+                print(
+                    f"wrote {ledger.num_decisions} decision records "
+                    f"({ledger.num_actions} with actions){compacted} to {path}; "
+                    f"query with `repro explain {path} --partition P`"
+                )
+        for policy, run in self.runs.items():
+            if "sanitizer" in run:
+                trail = run["sanitizer"].trail()
+                tag = f"[{policy}] " if tagged else ""
+                print(
+                    f"{tag}determinism fingerprint: {trail.final_chain} "
+                    f"({len(trail)} epoch(s) chained)"
+                )
+                if args.fingerprint_out:
+                    path = out(args.fingerprint_out, policy)
+                    trail.save(path)
+                    print(f"wrote fingerprint trail to {path}")
+        _warn_dropped(self.tracer)
+        for policy, run in self.runs.items():
+            if "profiler" in run:
+                print(f"\nphase timings ({policy}):" if tagged else "\nphase timings:")
+                print(run["profiler"].render_table())
+        if args.analyze:
+            from .obs.analysis import analyze_events, analyze_trace, render_text
+
+            if self.ring is not None:
+                analysis = analyze_events(self.ring.events(), source="<in-memory trace>")
+            else:
+                analysis = analyze_trace(args.trace_out)
+            print()
+            print(render_text(analysis))
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
     scenario = _scenario(args)
-    tracer = _make_tracer(args)
-    tracer, ring = _capture_for_analysis(args, tracer)
-    profiler = _make_profiler(args)
-    timeseries = _make_timeseries(args)
-    sanitizer = _make_sanitizer(args)
-    provenance = _make_provenance(args)
-    # The context manager guarantees the JSONL sink is flushed/closed on
-    # every path — including an engine error mid-run, so a partial trace
-    # stays analysable.
-    with tracer if tracer is not None else contextlib.nullcontext():
+    # --check-invariants forces strict checking; otherwise the engine
+    # default (the REPRO_CHECK_INVARIANTS environment) decides.
+    with _Observers(args, invariants=args.check_invariants or None) as observers:
         result = run_experiment(
-            args.policy,
-            scenario,
-            tracer=tracer,
-            profiler=profiler,
-            invariants=_invariants(args),
-            timeseries=timeseries,
-            sanitizer=sanitizer,
-            provenance=provenance,
-            engine=args.engine,
+            args.policy, scenario, engine=args.engine, **observers(args.policy)
         )
-    chaos_tag = f" chaos={args.chaos}" if getattr(args, "chaos", None) else ""
+    chaos_tag = f" chaos={args.chaos}" if args.chaos else ""
     engine_tag = f" engine={args.engine}" if args.engine != "scalar" else ""
     print(
         f"policy={args.policy} scenario={scenario.name} "
@@ -901,74 +898,14 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
         to_json(result.metrics, args.json)
         print(f"wrote {args.json}")
-    if getattr(args, "trace_out", None):
-        print(f"wrote {tracer.emitted} trace records to {args.trace_out}")
-    if timeseries is not None:
-        _save_timeseries(timeseries, args.timeseries_out)
-    if provenance is not None:
-        _save_provenance(provenance, args.provenance_out)
-    _report_sanitizer(sanitizer, getattr(args, "fingerprint_out", None))
-    _warn_dropped(tracer)
-    if profiler is not None:
-        print("\nphase timings:")
-        print(profiler.render_table())
-    if getattr(args, "analyze", False):
-        _run_analysis(args, ring)
+    observers.finish()
     return 0
 
 
 def _cmd_compare(args: argparse.Namespace) -> int:
     scenario = _scenario(args)
-    tracer = _make_tracer(args)
-    tracer, ring = _capture_for_analysis(args, tracer)
-    profile = getattr(args, "profile", False)
-    if profile:
-        from .obs.profiler import PhaseProfiler
-
-        profiler_factory = PhaseProfiler
-    else:
-        profiler_factory = None
-    ts_recorders: dict[str, object] = {}
-    if getattr(args, "timeseries_out", None):
-
-        def timeseries_factory(policy: str):
-            recorder = _make_timeseries(args)
-            ts_recorders[policy] = recorder
-            return recorder
-
-    else:
-        timeseries_factory = None
-    sanitizers: dict[str, object] = {}
-    if getattr(args, "sanitize", False) or getattr(args, "fingerprint_out", None):
-
-        def sanitizer_factory(policy: str):
-            sanitizer = _make_sanitizer(args)
-            sanitizers[policy] = sanitizer
-            return sanitizer
-
-    else:
-        sanitizer_factory = None
-    prov_recorders: dict[str, object] = {}
-    if getattr(args, "provenance_out", None):
-
-        def provenance_factory(policy: str):
-            recorder = _make_provenance(args)
-            prov_recorders[policy] = recorder
-            return recorder
-
-    else:
-        provenance_factory = None
-    with tracer if tracer is not None else contextlib.nullcontext():
-        cmp = compare_policies(
-            scenario,
-            tracer=tracer,
-            profiler_factory=profiler_factory,
-            invariants=_invariants(args),
-            timeseries_factory=timeseries_factory,
-            sanitizer_factory=sanitizer_factory,
-            provenance_factory=provenance_factory,
-            engine=args.engine,
-        )
+    with _Observers(args, invariants=args.check_invariants or None) as observers:
+        cmp = compare_policies(scenario, observers=observers, engine=args.engine)
     header = f"{'policy':>9} | " + " ".join(f"{name:>16}" for name, _ in _HEADLINE)
     print(f"scenario={scenario.name} epochs={args.epochs} seed={args.seed}")
     print(header)
@@ -980,25 +917,7 @@ def _cmd_compare(args: argparse.Namespace) -> int:
         )
         print(f"{policy:>9} | {cells}")
     print("\nutilization ranking:", " > ".join(cmp.ranking("utilization")))
-    if getattr(args, "trace_out", None):
-        print(f"wrote {tracer.emitted} trace records to {args.trace_out}")
-    for policy, recorder in ts_recorders.items():
-        _save_timeseries(recorder, tagged_path(args.timeseries_out, policy))
-    for policy, recorder in prov_recorders.items():
-        _save_provenance(recorder, tagged_path(args.provenance_out, policy))
-    for policy, sanitizer in sanitizers.items():
-        fp_out = getattr(args, "fingerprint_out", None)
-        print(f"[{policy}] ", end="")
-        _report_sanitizer(
-            sanitizer, tagged_path(fp_out, policy) if fp_out else None
-        )
-    _warn_dropped(tracer)
-    if profile:
-        for policy in cmp.policies():
-            print(f"\nphase timings ({policy}):")
-            print(cmp[policy].simulation.profiler.render_table())
-    if getattr(args, "analyze", False):
-        _run_analysis(args, ring)
+    observers.finish()
     return 0
 
 
@@ -1008,23 +927,9 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
     scenario = dataclasses.replace(
         random_query_scenario(_config(args), epochs=args.epochs), chaos=schedule
     )
-    tracer = _make_tracer(args)
-    tracer, ring = _capture_for_analysis(args, tracer)
-    profiler = _make_profiler(args)
-    timeseries = _make_timeseries(args)
-    sanitizer = _make_sanitizer(args)
-    provenance = _make_provenance(args)
-    with tracer if tracer is not None else contextlib.nullcontext():
+    with _Observers(args, invariants=True) as observers:
         result = run_experiment(
-            args.policy,
-            scenario,
-            tracer=tracer,
-            profiler=profiler,
-            invariants=True,
-            timeseries=timeseries,
-            sanitizer=sanitizer,
-            provenance=provenance,
-            engine=args.engine,
+            args.policy, scenario, engine=args.engine, **observers(args.policy)
         )
     sim = result.simulation
     summary = sim.chaos.summary()
@@ -1050,19 +955,7 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
 
         to_csv(result.metrics, args.csv)
         print(f"wrote {args.csv}")
-    if getattr(args, "trace_out", None):
-        print(f"wrote {tracer.emitted} trace records to {args.trace_out}")
-    if timeseries is not None:
-        _save_timeseries(timeseries, args.timeseries_out)
-    if provenance is not None:
-        _save_provenance(provenance, args.provenance_out)
-    _report_sanitizer(sanitizer, getattr(args, "fingerprint_out", None))
-    _warn_dropped(tracer)
-    if profiler is not None:
-        print("\nphase timings:")
-        print(profiler.render_table())
-    if getattr(args, "analyze", False):
-        _run_analysis(args, ring)
+    observers.finish()
     return 0
 
 
@@ -1142,44 +1035,45 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
         from .obs.trace import read_jsonl
 
         output = to_prometheus(registry_from_events(read_jsonl(path)))
-
-    if args.out:
-        pathlib.Path(args.out).write_text(
-            output if output.endswith("\n") else output + "\n"
-        )
-        print(f"wrote {args.out}")
-    else:
-        print(output if not output.endswith("\n") else output[:-1])
+    _emit(output, args.out)
     return 0
 
 
-def _load_artifact(path: str):
-    import pathlib
+def _emit(text: str, out: str | None) -> None:
+    """Write ``text``, newline-terminated, to ``out``; or print it."""
+    if out:
+        from .artifact import save_text
 
-    from .errors import TsdbError
-    from .obs.timeseries import TsdbArtifact
+        save_text(out, text if text.endswith("\n") else text + "\n")
+        print(f"wrote {out}")
+    else:
+        print(text[:-1] if text.endswith("\n") else text)
 
-    if not pathlib.Path(path).exists():
-        raise SystemExit(f"no such time-series artifact: {path}")
+
+def _load(cls, path: str, what: str):
+    """``cls.load(path)``; a missing or unreadable ``what`` exits with a message."""
+    from .errors import ReproError
+
+    if not os.path.exists(path):
+        raise SystemExit(f"no such {what}: {path}")
     try:
-        return TsdbArtifact.load(path)
-    except TsdbError as exc:
+        return cls.load(path)
+    except ReproError as exc:
         raise SystemExit(f"cannot load {path}: {exc}")
 
 
 def _cmd_diff(args: argparse.Namespace) -> int:
-    import pathlib
-
     from .errors import TsdbError
     from .obs.timeseries import (
+        TsdbArtifact,
         diff_artifacts,
         render_diff_json,
         render_diff_markdown,
         render_diff_text,
     )
 
-    baseline = _load_artifact(args.baseline)
-    candidate = _load_artifact(args.candidate)
+    baseline = _load(TsdbArtifact, args.baseline, "time-series artifact")
+    candidate = _load(TsdbArtifact, args.candidate, "time-series artifact")
     try:
         report = diff_artifacts(
             baseline,
@@ -1195,26 +1089,20 @@ def _cmd_diff(args: argparse.Namespace) -> int:
         "markdown": lambda r: render_diff_markdown(r, verbose=args.verbose),
         "json": render_diff_json,
     }
-    output = renderers[args.format](report)
-    if args.out:
-        pathlib.Path(args.out).write_text(
-            output if output.endswith("\n") else output + "\n"
-        )
-        print(f"wrote {args.out}")
-    else:
-        print(output if not output.endswith("\n") else output[:-1])
+    _emit(renderers[args.format](report), args.out)
     return report.exit_code()
 
 
 def _cmd_dashboard(args: argparse.Namespace) -> int:
-    import pathlib
+    from .artifact import save_text
+    from .obs.timeseries import TsdbArtifact, render_dashboard
 
-    from .obs.timeseries import render_dashboard
-
-    run = _load_artifact(args.run)
-    baseline = _load_artifact(args.compare) if args.compare else None
+    run = _load(TsdbArtifact, args.run, "time-series artifact")
+    baseline = (
+        _load(TsdbArtifact, args.compare, "time-series artifact") if args.compare else None
+    )
     html = render_dashboard(run, baseline, title=args.title)
-    pathlib.Path(args.out).write_text(html)
+    save_text(args.out, html)
     print(f"wrote {args.out} ({len(html) / 1024:.0f} KiB, self-contained)")
     return 0
 
@@ -1225,7 +1113,6 @@ def _cmd_lint(args: argparse.Namespace) -> int:
     from .staticcheck import (
         DEFAULT_BASELINE_NAME,
         Baseline,
-        BaselineError,
         changed_python_files,
         lint_paths,
         render_github,
@@ -1237,10 +1124,7 @@ def _cmd_lint(args: argparse.Namespace) -> int:
     baseline_path = args.baseline or DEFAULT_BASELINE_NAME
     if not args.no_baseline and not args.write_baseline:
         if args.baseline or pathlib.Path(baseline_path).exists():
-            try:
-                baseline = Baseline.load(baseline_path)
-            except BaselineError as exc:
-                raise SystemExit(str(exc))
+            baseline = _load(Baseline, baseline_path, "lint baseline")
     paths: list[str | pathlib.Path] = list(args.paths)
     if args.changed:
         try:
@@ -1277,7 +1161,6 @@ def _cmd_sanitize(args: argparse.Namespace) -> int:
 
     from .staticcheck.sanitizer import (
         DeterminismSanitizer,
-        FingerprintError,
         FingerprintTrail,
         bisect_divergence,
     )
@@ -1294,10 +1177,7 @@ def _cmd_sanitize(args: argparse.Namespace) -> int:
         candidate.save(args.save)
         print(f"wrote fingerprint trail to {args.save}")
     if args.against:
-        try:
-            baseline = FingerprintTrail.load(args.against)
-        except FingerprintError as exc:
-            raise SystemExit(str(exc))
+        baseline = _load(FingerprintTrail, args.against, "fingerprint trail")
         label = f"against {args.against}"
     else:
         # The double-run: a fresh simulation replays the same recorded
@@ -1327,10 +1207,7 @@ def _cmd_explain(args: argparse.Namespace) -> int:
     from .errors import ProvenanceError
     from .obs.provenance import ProvArtifact, render_explanation
 
-    try:
-        artifact = ProvArtifact.load(args.artifact)
-    except ProvenanceError as exc:
-        raise SystemExit(f"cannot load {args.artifact}: {exc}")
+    artifact = _load(ProvArtifact, args.artifact, "provenance artifact")
     try:
         text = render_explanation(
             artifact,
@@ -1340,26 +1217,17 @@ def _cmd_explain(args: argparse.Namespace) -> int:
         )
     except ProvenanceError as exc:
         raise SystemExit(str(exc))
-    if args.out:
-        import pathlib
-
-        pathlib.Path(args.out).write_text(text)
-        print(f"wrote {args.out}")
-    else:
-        print(text, end="")
+    _emit(text, args.out)
     return 0
 
 
 def _cmd_provdiff(args: argparse.Namespace) -> int:
-    from .errors import ProvenanceError
     from .obs.provenance import ProvArtifact, diff_provenance
 
-    artifacts = []
-    for path in (args.baseline, args.candidate):
-        try:
-            artifacts.append(ProvArtifact.load(path))
-        except ProvenanceError as exc:
-            raise SystemExit(f"cannot load {path}: {exc}")
+    artifacts = [
+        _load(ProvArtifact, path, "provenance artifact")
+        for path in (args.baseline, args.candidate)
+    ]
     report = diff_provenance(artifacts[0], artifacts[1])
     print(f"provdiff {args.baseline} vs {args.candidate}")
     print(report.describe())
@@ -1392,7 +1260,7 @@ def _sweep_manifest(args: argparse.Namespace):
         overrides["timeseries_stride"] = args.timeseries_stride
     try:
         if args.manifest:
-            manifest = SweepManifest.load(args.manifest)
+            manifest = _load(SweepManifest, args.manifest, "sweep manifest")
             if args.partitions is not None or args.rate is not None:
                 base = manifest.scales[0]
                 overrides["scales"] = (
@@ -1428,6 +1296,7 @@ def _sweep_manifest(args: argparse.Namespace):
 def _cmd_sweep(args: argparse.Namespace) -> int:
     import pathlib
 
+    from .artifact import save_text
     from .errors import SweepError
     from .obs.fleet import FleetProgress
     from .sweep import SWEEP_ARTIFACT_NAME, render_sweep, run_sweep
@@ -1463,14 +1332,14 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         if args.report == "-":
             print(text)
         else:
-            pathlib.Path(args.report).write_text(text)
+            save_text(args.report, text)
             print(f"wrote {args.report}")
     if args.dashboard is not None:
         from .obs.fleet.dashboard import render_fleet_dashboard
 
         dash_path = pathlib.Path(args.dashboard or out / "dashboard.html")
         try:
-            dash_path.write_text(render_fleet_dashboard(artifact, out))
+            save_text(dash_path, render_fleet_dashboard(artifact, out))
         except SweepError as exc:
             raise SystemExit(str(exc))
         print(f"wrote {dash_path}")
@@ -1484,15 +1353,12 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 
 
 def _cmd_sweepdiff(args: argparse.Namespace) -> int:
-    from .errors import SweepError
     from .sweep import SweepArtifact, diff_sweeps
 
-    artifacts = []
-    for path in (args.baseline, args.candidate):
-        try:
-            artifacts.append(SweepArtifact.load(path))
-        except SweepError as exc:
-            raise SystemExit(f"cannot load {path}: {exc}")
+    artifacts = [
+        _load(SweepArtifact, path, "sweep artifact")
+        for path in (args.baseline, args.candidate)
+    ]
     report = diff_sweeps(artifacts[0], artifacts[1])
     print(f"sweepdiff {args.baseline} vs {args.candidate}")
     print(report.render())
@@ -1500,8 +1366,7 @@ def _cmd_sweepdiff(args: argparse.Namespace) -> int:
 
 
 def _cmd_profile(args: argparse.Namespace) -> int:
-    import pathlib
-
+    from .artifact import save_text
     from .obs.perf import profile_scenario, render_flamegraph
 
     scenario = _scenario(args)
@@ -1523,7 +1388,7 @@ def _cmd_profile(args: argparse.Namespace) -> int:
         flame_path = derived_path(args.out, ".flame.html")
     if flame_path:
         html = render_flamegraph(profile)
-        pathlib.Path(flame_path).write_text(html)
+        save_text(flame_path, html)
         print(f"wrote {flame_path} ({len(html) / 1024:.0f} KiB, self-contained)")
     speedscope_path = args.speedscope
     if speedscope_path is None:
@@ -1547,24 +1412,17 @@ def _cmd_profile(args: argparse.Namespace) -> int:
 
 
 def _cmd_perfdiff(args: argparse.Namespace) -> int:
-    import pathlib
-
     from .obs.perf import (
         PerfProfile,
-        ProfileError,
         diff_profiles,
         render_perfdiff_json,
         render_perfdiff_text,
     )
 
-    profiles = []
-    for path in (args.baseline, args.candidate):
-        if not pathlib.Path(path).exists():
-            raise SystemExit(f"no such profile artifact: {path}")
-        try:
-            profiles.append(PerfProfile.load(path))
-        except ProfileError as exc:
-            raise SystemExit(f"cannot load {path}: {exc}")
+    profiles = [
+        _load(PerfProfile, path, "profile artifact")
+        for path in (args.baseline, args.candidate)
+    ]
     report = diff_profiles(
         profiles[0],
         profiles[1],
@@ -1576,13 +1434,7 @@ def _cmd_perfdiff(args: argparse.Namespace) -> int:
         output = render_perfdiff_json(report)
     else:
         output = render_perfdiff_text(report, verbose=args.verbose)
-    if args.out:
-        pathlib.Path(args.out).write_text(
-            output if output.endswith("\n") else output + "\n"
-        )
-        print(f"wrote {args.out}")
-    else:
-        print(output if not output.endswith("\n") else output[:-1])
+    _emit(output, args.out)
     return report.exit_code()
 
 

@@ -7,6 +7,7 @@ recorded trace through four fresh simulations.
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
@@ -58,52 +59,24 @@ def compare_policies(
     scenario: Scenario,
     policies: tuple[str, ...] = POLICIES,
     *,
-    tracer=None,
-    profiler_factory=None,
-    invariants=None,
-    timeseries_factory=None,
-    sanitizer_factory=None,
-    provenance_factory=None,
+    observers: Callable[[str], dict[str, object]] | None = None,
     engine: str = "scalar",
 ) -> ComparisonResult:
     """Run every policy on the scenario's shared trace.
 
-    ``tracer`` is shared across runs (every record carries a ``policy``
-    field, so one JSONL file can hold all four algorithms);
-    ``profiler_factory`` is called once per policy because phase timings
-    must not mix runs.  ``timeseries_factory`` is likewise per-policy —
-    called with the policy name, it returns a fresh
-    :class:`~repro.obs.timeseries.TimeseriesRecorder` (or ``None``) so
-    each algorithm records its own ``.tsdb.json`` trajectory, and
-    ``sanitizer_factory`` (also called with the policy name) attaches a
-    fresh per-policy
-    :class:`~repro.staticcheck.sanitizer.DeterminismSanitizer`, and
-    ``provenance_factory`` a fresh per-policy
-    :class:`~repro.obs.provenance.ProvenanceRecorder` (one ``.prov.json``
-    decision ledger per algorithm).
-    Per-policy profilers, recorders and sanitizers stay reachable
-    through ``result[policy].simulation``.  ``engine`` selects the
-    epoch core for every run (see
-    :func:`~repro.experiments.runner.run_experiment`).
+    ``observers``, called with each policy name before its run, returns
+    that run's observer keyword arguments for
+    :func:`~repro.experiments.runner.run_experiment` (``tracer``,
+    ``profiler``, ``invariants``, ``timeseries``, ``sanitizer``,
+    ``provenance``).  A tracer may be shared by every run, since each
+    record carries a ``policy`` field; profilers, recorders, sanitizers
+    and ledgers must be fresh per policy, so that one algorithm's phase
+    timings, trajectory, fingerprint chain or decisions never mix with
+    another's.  They stay reachable through ``result[policy].simulation``.
+    ``engine`` selects the epoch core for every run.
     """
-    results = {
-        policy: run_experiment(
-            policy,
-            scenario,
-            tracer=tracer,
-            profiler=profiler_factory() if profiler_factory is not None else None,
-            invariants=invariants,
-            timeseries=(
-                timeseries_factory(policy) if timeseries_factory is not None else None
-            ),
-            sanitizer=(
-                sanitizer_factory(policy) if sanitizer_factory is not None else None
-            ),
-            provenance=(
-                provenance_factory(policy) if provenance_factory is not None else None
-            ),
-            engine=engine,
-        )
-        for policy in policies
-    }
+    results = {}
+    for policy in policies:
+        kwargs = observers(policy) if observers is not None else {}
+        results[policy] = run_experiment(policy, scenario, engine=engine, **kwargs)
     return ComparisonResult(scenario=scenario.name, results=results)

@@ -86,36 +86,31 @@ def run_experiment(
     ``result.simulation``; so do the scenario's chaos schedule and the
     ``invariants`` spec (see :class:`~repro.sim.engine.Simulation`).
     Counters over the run's events come from its trace
-    (:func:`repro.obs.analysis.registry_from_events`).  A time-series recorder
-    gets the standard run-identity keys (policy, scenario, seed,
-    epochs, chaos) stamped into its artifact metadata unless the caller
+    (:func:`repro.obs.analysis.registry_from_events`).  A time-series
+    recorder and a provenance recorder get the run-identity keys
+    (policy, scenario, seed, epochs, engine, then chaos when a schedule
+    is set) stamped into their artifact metadata unless the caller
     already set them; a
     :class:`~repro.staticcheck.sanitizer.DeterminismSanitizer` gets the
-    same keys stamped into its fingerprint trail metadata.
+    same keys except chaos in its fingerprint trail metadata.
     """
     simulation_class = _engine_class(engine)
-    if sanitizer is not None:
-        sanitizer.trail().meta.setdefault("policy", policy)
-        sanitizer.trail().meta.setdefault("scenario", scenario.name)
-        sanitizer.trail().meta.setdefault("seed", scenario.config.seed)
-        sanitizer.trail().meta.setdefault("epochs", scenario.epochs)
-        sanitizer.trail().meta.setdefault("engine", engine)
-    if timeseries is not None:
-        timeseries.meta.setdefault("policy", policy)
-        timeseries.meta.setdefault("scenario", scenario.name)
-        timeseries.meta.setdefault("seed", scenario.config.seed)
-        timeseries.meta.setdefault("epochs", scenario.epochs)
-        timeseries.meta.setdefault("engine", engine)
-        if scenario.chaos is not None:
-            timeseries.meta.setdefault("chaos", scenario.chaos.name)
-    if provenance is not None:
-        provenance.meta.setdefault("policy", policy)
-        provenance.meta.setdefault("scenario", scenario.name)
-        provenance.meta.setdefault("seed", scenario.config.seed)
-        provenance.meta.setdefault("epochs", scenario.epochs)
-        provenance.meta.setdefault("engine", engine)
-        if scenario.chaos is not None:
-            provenance.meta.setdefault("chaos", scenario.chaos.name)
+    identity = {
+        "policy": policy,
+        "scenario": scenario.name,
+        "seed": scenario.config.seed,
+        "epochs": scenario.epochs,
+        "engine": engine,
+    }
+    chaos = {} if scenario.chaos is None else {"chaos": scenario.chaos.name}
+    for meta, keys in (
+        (None if sanitizer is None else sanitizer.trail().meta, identity),
+        (None if timeseries is None else timeseries.meta, identity | chaos),
+        (None if provenance is None else provenance.meta, identity | chaos),
+    ):
+        if meta is not None:
+            for key, value in keys.items():
+                meta.setdefault(key, value)
     sim = simulation_class(
         scenario.config,
         policy=policy,

@@ -9,9 +9,9 @@ plus round-tripping JSON for archival.
 from __future__ import annotations
 
 import csv
-import json
 import pathlib
 
+from ..artifact import read_json, save_json
 from ..errors import SimulationError
 from .collector import MetricsCollector
 
@@ -62,23 +62,26 @@ def to_json(metrics: MetricsCollector, path: str | pathlib.Path) -> None:
     """Write ``{"epochs": N, "series": {name: [...]}}`` (newline-terminated)."""
     if metrics.num_epochs == 0:
         raise SimulationError("refusing to export an empty collector")
-    payload = {"epochs": metrics.num_epochs, "series": metrics.as_dict()}
-    pathlib.Path(path).write_text(json.dumps(payload, indent=1) + "\n")
+    save_json(path, {"epochs": metrics.num_epochs, "series": metrics.as_dict()})
 
 
 def from_json(path: str | pathlib.Path) -> MetricsCollector:
-    """Rebuild a collector from :func:`to_json` output."""
-    payload = json.loads(pathlib.Path(path).read_text())
-    if "series" not in payload or "epochs" not in payload:
+    """Rebuild a collector from :func:`to_json` output; any unreadable or
+    malformed file raises :class:`SimulationError`."""
+    payload = read_json(path, SimulationError, "metrics file")
+    if not isinstance(payload, dict) or "series" not in payload or "epochs" not in payload:
         raise SimulationError(f"{path} is not an exported metrics file")
-    series: dict[str, list[float]] = payload["series"]
-    epochs = int(payload["epochs"])
-    for name, values in series.items():
-        if len(values) != epochs:
-            raise SimulationError(
-                f"series {name!r} has {len(values)} values for {epochs} epochs"
-            )
-    collector = MetricsCollector()
-    for epoch in range(epochs):
-        collector.record_epoch({name: series[name][epoch] for name in series})
+    try:
+        series: dict[str, list[float]] = payload["series"]
+        epochs = int(payload["epochs"])
+        for name, values in series.items():
+            if len(values) != epochs:
+                raise SimulationError(
+                    f"series {name!r} has {len(values)} values for {epochs} epochs"
+                )
+        collector = MetricsCollector()
+        for epoch in range(epochs):
+            collector.record_epoch({name: series[name][epoch] for name in series})
+    except (AttributeError, TypeError, ValueError) as exc:
+        raise SimulationError(f"{path} is not an exported metrics file: {exc}") from exc
     return collector

@@ -33,7 +33,6 @@ from .exporters import (
     registry_from_events,
     to_chrome_trace,
     to_prometheus,
-    write_chrome_trace,
 )
 from .lineage import Lineage, ReplicaLifecycle, ReplicaStay, build_lineage, distribution
 from .pipeline import (
@@ -79,5 +78,4 @@ __all__ = [
     "to_chrome_trace",
     "to_prometheus",
     "top_causes",
-    "write_chrome_trace",
 ]

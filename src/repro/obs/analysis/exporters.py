@@ -18,8 +18,7 @@ re-running the simulation.
 
 from __future__ import annotations
 
-import json
-import pathlib
+import math
 from collections.abc import Iterable, Sequence
 
 from ..profiler import ENGINE_PHASES, PhaseProfiler
@@ -30,7 +29,6 @@ __all__ = [
     "chrome_trace_from_events",
     "chrome_trace_from_profiler",
     "to_chrome_trace",
-    "write_chrome_trace",
     "to_prometheus",
     "registry_from_events",
 ]
@@ -159,17 +157,6 @@ def to_chrome_trace(
     }
 
 
-def write_chrome_trace(
-    path: str | pathlib.Path,
-    events: Iterable[TraceEvent] = (),
-    profiler: PhaseProfiler | None = None,
-) -> int:
-    """Write :func:`to_chrome_trace` to ``path``; returns event count."""
-    payload = to_chrome_trace(events, profiler)
-    pathlib.Path(path).write_text(json.dumps(payload, separators=(",", ":")) + "\n")
-    return len(payload["traceEvents"])  # type: ignore[arg-type]
-
-
 # ----------------------------------------------------------------------
 # Prometheus text exposition
 # ----------------------------------------------------------------------
@@ -202,7 +189,15 @@ def _label_text(labels: dict[str, str], extra: dict[str, str] | None = None) -> 
 
 
 def _fmt_value(value: float) -> str:
-    return f"{value:g}"
+    """A sample value, exact: integral values as integers, other finite
+    values as ``repr``, non-finite ones as ``NaN``/``+Inf``/``-Inf``."""
+    if math.isnan(value):
+        return "NaN"
+    if math.isinf(value):
+        return "+Inf" if value > 0 else "-Inf"
+    if value.is_integer():
+        return str(int(value))
+    return repr(value)
 
 
 def to_prometheus(

@@ -27,6 +27,7 @@ import pathlib
 from dataclasses import dataclass, field
 from typing import Any
 
+from ...artifact import check_header, read_json, save_json, save_text
 from ...errors import ReproError
 
 __all__ = ["PerfProfile", "ProfileError", "PROF_FORMAT", "PROF_VERSION"]
@@ -94,22 +95,11 @@ class PerfProfile:
         }
 
     def save(self, path: str | pathlib.Path) -> None:
-        pathlib.Path(path).write_text(json.dumps(self.to_dict(), indent=1) + "\n")
+        save_json(path, self.to_dict())
 
     @classmethod
-    def from_dict(cls, payload: dict[str, object]) -> "PerfProfile":
-        if not isinstance(payload, dict):
-            raise ProfileError("profile artifact is not a JSON object")
-        if payload.get("format") != PROF_FORMAT:
-            raise ProfileError(
-                f"not a {PROF_FORMAT} artifact (format={payload.get('format')!r})"
-            )
-        version = payload.get("version")
-        if version != PROF_VERSION:
-            raise ProfileError(
-                f"unsupported {PROF_FORMAT} version {version!r} "
-                f"(this build reads version {PROF_VERSION})"
-            )
+    def from_dict(cls, payload: object) -> "PerfProfile":
+        payload = check_header(payload, PROF_FORMAT, PROF_VERSION, ProfileError)
         return cls(
             meta=_section(payload, "meta", dict),
             phases=_section(payload, "phases", dict),
@@ -120,13 +110,7 @@ class PerfProfile:
 
     @classmethod
     def load(cls, path: str | pathlib.Path) -> "PerfProfile":
-        try:
-            payload = json.loads(pathlib.Path(path).read_text(encoding="utf-8"))
-        except OSError as exc:
-            raise ProfileError(f"cannot read {path}: {exc}") from exc
-        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-            raise ProfileError(f"{path} is not valid JSON: {exc}") from exc
-        return cls.from_dict(payload)
+        return cls.from_dict(read_json(path, ProfileError, "profile"))
 
     # ------------------------------------------------------------------
     # Derived views
@@ -200,6 +184,4 @@ class PerfProfile:
         }
 
     def save_speedscope(self, path: str | pathlib.Path) -> None:
-        pathlib.Path(path).write_text(
-            json.dumps(self.speedscope(), separators=(",", ":")) + "\n"
-        )
+        save_text(path, json.dumps(self.speedscope(), separators=(",", ":")) + "\n")

@@ -33,7 +33,7 @@ from typing import IO
 
 import numpy as np
 
-from ...artifact import atomic_write
+from ...artifact import atomic_write, check_header, read_json
 from ...errors import ProvenanceError
 from .ledger import CHUNK, TABLES, Ledger, LedgerView, StringTable
 from .records import DecisionRecord
@@ -162,17 +162,7 @@ class ProvArtifact:
 
     @classmethod
     def from_dict(cls, raw: object) -> ProvArtifact:
-        if not isinstance(raw, dict) or raw.get("format") != PROV_FORMAT:
-            raise ProvenanceError(
-                f"not a {PROV_FORMAT} artifact "
-                f"(format={raw.get('format') if isinstance(raw, dict) else raw!r})"
-            )
-        version = raw.get("version")
-        if version != PROV_VERSION:
-            raise ProvenanceError(
-                f"unsupported {PROV_FORMAT} version {version!r} "
-                f"(this build reads version {PROV_VERSION})"
-            )
+        raw = check_header(raw, PROV_FORMAT, PROV_VERSION, ProvenanceError)
         try:
             # File ids -> ids of a fresh table (duplicates merge, "" is 0).
             strings = StringTable()
@@ -246,11 +236,4 @@ class ProvArtifact:
     def load(cls, path: str | pathlib.Path) -> ProvArtifact:
         """Read an artifact back; raises :class:`ProvenanceError` on any
         format problem (including a file that is not JSON at all)."""
-        path = pathlib.Path(path)
-        try:
-            raw = json.loads(path.read_text(encoding="utf-8"))
-        except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
-            raise ProvenanceError(
-                f"cannot read provenance artifact {path}: {exc}"
-            ) from exc
-        return cls.from_dict(raw)
+        return cls.from_dict(read_json(path, ProvenanceError, "provenance artifact"))

@@ -19,14 +19,21 @@ the dashboard):
 
 from __future__ import annotations
 
-import json
-import math
 import pathlib
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from ...artifact import JsonArray, JsonObject, atomic_write, write_json
+from ...artifact import (
+    JsonArray,
+    JsonObject,
+    atomic_write,
+    check_header,
+    nan_to_null,
+    null_to_nan,
+    read_json,
+    write_json,
+)
 from ...errors import TsdbError
 
 __all__ = ["TSDB_FORMAT", "TSDB_VERSION", "Marker", "TsdbArtifact"]
@@ -71,9 +78,8 @@ class Marker:
             raise TsdbError(f"malformed marker record: {raw!r}") from exc
 
 
-def _clean(values: np.ndarray) -> list[float | None]:
-    # JSON has no NaN/Inf; emit null and restore on load.
-    return [float(v) if math.isfinite(v) else None for v in values]
+def _json_column(values: np.ndarray) -> object:
+    return nan_to_null(np.asarray(values, dtype=np.float64).tolist())
 
 
 @dataclass(frozen=True)
@@ -131,33 +137,18 @@ class TsdbArtifact:
             "stride": self.stride,
             "decimation": self.decimation,
             "epochs": [int(e) for e in self.epochs],
-            "columns": {name: _clean(self.columns[name]) for name in sorted(self.columns)},
+            "columns": {name: _json_column(self.columns[name]) for name in sorted(self.columns)},
             "markers": [m.to_dict() for m in self.markers],
         }
 
     @classmethod
-    def from_dict(cls, raw: dict[str, object]) -> TsdbArtifact:
-        if not isinstance(raw, dict) or raw.get("format") != TSDB_FORMAT:
-            raise TsdbError(
-                f"not a {TSDB_FORMAT} artifact "
-                f"(format={raw.get('format') if isinstance(raw, dict) else raw!r})"
-            )
-        version = raw.get("version")
-        if version != TSDB_VERSION:
-            raise TsdbError(
-                f"unsupported {TSDB_FORMAT} version {version!r} "
-                f"(this build reads version {TSDB_VERSION})"
-            )
-
-        def restore(values: list[float | None]) -> np.ndarray:
-            return np.array(
-                [float("nan") if v is None else float(v) for v in values],
-                dtype=np.float64,
-            )
-
+    def from_dict(cls, raw: object) -> TsdbArtifact:
+        raw = check_header(raw, TSDB_FORMAT, TSDB_VERSION, TsdbError)
         try:
             columns = {
-                str(name): restore(values)
+                str(name): np.array(
+                    [float(v) for v in null_to_nan(values)], dtype=np.float64
+                )
                 for name, values in raw["columns"].items()
             }
             return cls(
@@ -191,7 +182,7 @@ class TsdbArtifact:
                 (
                     "columns",
                     JsonObject(
-                        (name, _clean(self.columns[name])) for name in sorted(self.columns)
+                        (name, _json_column(self.columns[name])) for name in sorted(self.columns)
                     ),
                 ),
                 ("markers", JsonArray(m.to_dict() for m in self.markers)),
@@ -205,9 +196,4 @@ class TsdbArtifact:
     def load(cls, path: str | pathlib.Path) -> TsdbArtifact:
         """Read an artifact back; raises :class:`TsdbError` on any
         format problem (including a file that is not JSON at all)."""
-        path = pathlib.Path(path)
-        try:
-            raw = json.loads(path.read_text(encoding="utf-8"))
-        except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
-            raise TsdbError(f"cannot read tsdb artifact {path}: {exc}") from exc
-        return cls.from_dict(raw)
+        return cls.from_dict(read_json(path, TsdbError, "tsdb artifact"))

@@ -218,26 +218,29 @@ def read_jsonl(path: str | pathlib.Path, *, strict: bool = False) -> Iterator[Tr
     """Yield the :class:`TraceEvent` records of a :class:`JsonlTracer` file.
 
     An interrupted run leaves a truncated final line (and a crashed
-    writer can leave garbage anywhere); by default such lines are
-    skipped with a :class:`TraceReadWarning` so post-hoc analysis of a
-    partial trace still completes.  Pass ``strict=True`` to re-raise the
-    underlying :class:`json.JSONDecodeError` instead.
+    writer can leave garbage anywhere).  Each line is decoded on its
+    own, and by default a malformed one (not UTF-8, not JSON, or JSON
+    that is not an event) is skipped with a :class:`TraceReadWarning`,
+    so post-hoc analysis of a partial trace still completes.  Pass
+    ``strict=True`` to re-raise the underlying error instead
+    (:class:`UnicodeDecodeError`, :class:`json.JSONDecodeError`, or the
+    ``KeyError``/``TypeError``/``ValueError`` of a non-event).
     """
-    with open(pathlib.Path(path), encoding="utf-8") as handle:
-        for lineno, line in enumerate(handle, start=1):
-            line = line.strip()
+    with open(pathlib.Path(path), "rb") as handle:
+        for lineno, raw in enumerate(handle, start=1):
+            line = raw.strip()
             if not line:
                 continue
             try:
-                payload = json.loads(line)
-            except json.JSONDecodeError as exc:
+                event = TraceEvent.from_dict(json.loads(line.decode("utf-8")))
+            except (AttributeError, KeyError, TypeError, ValueError) as exc:
                 if strict:
                     raise
                 warnings.warn(
                     f"{path}:{lineno}: skipping malformed trace line "
-                    f"({exc.msg}); the writer was probably interrupted",
+                    f"({type(exc).__name__}: {exc})",
                     TraceReadWarning,
                     stacklevel=2,
                 )
                 continue
-            yield TraceEvent.from_dict(payload)
+            yield event

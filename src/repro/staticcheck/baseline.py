@@ -14,9 +14,9 @@ edits above a finding do not invalidate the baseline.
 
 from __future__ import annotations
 
-import json
 from pathlib import Path
 
+from ..artifact import check_header, read_json, save_json
 from ..errors import SimulationError
 from .findings import Finding
 
@@ -75,22 +75,9 @@ class Baseline:
 
     @classmethod
     def load(cls, path: str | Path) -> "Baseline":
-        try:
-            payload = json.loads(Path(path).read_text(encoding="utf-8"))
-        except OSError as exc:
-            raise BaselineError(f"cannot read baseline {path}: {exc}") from exc
-        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-            raise BaselineError(f"baseline {path} is not valid JSON: {exc}") from exc
-        if not isinstance(payload, dict) or payload.get("format") != _FORMAT:
-            raise BaselineError(
-                f"baseline {path} is not a {_FORMAT!r} file"
-            )
-        version = payload.get("version")
-        if version != _VERSION:
-            raise BaselineError(
-                f"baseline {path} has unsupported version {version!r} "
-                f"(supported: {_VERSION})"
-            )
+        payload = check_header(
+            read_json(path, BaselineError, "lint baseline"), _FORMAT, _VERSION, BaselineError
+        )
         findings = payload.get("findings")
         if not isinstance(findings, list) or not all(
             isinstance(entry, dict) for entry in findings
@@ -109,6 +96,4 @@ class Baseline:
         }
 
     def save(self, path: str | Path) -> None:
-        Path(path).write_text(
-            json.dumps(self.to_dict(), indent=1) + "\n", encoding="utf-8"
-        )
+        save_json(path, self.to_dict())

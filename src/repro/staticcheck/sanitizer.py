@@ -35,7 +35,14 @@ from hashlib import blake2b
 from pathlib import Path
 from typing import TYPE_CHECKING, Mapping
 
-from ..artifact import JsonArray, JsonObject, atomic_write, write_json
+from ..artifact import (
+    JsonArray,
+    JsonObject,
+    atomic_write,
+    check_header,
+    read_json,
+    write_json,
+)
 from ..errors import SimulationError
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -160,14 +167,8 @@ class FingerprintTrail:
             out.write("\n")
 
     @classmethod
-    def from_dict(cls, payload: Mapping[str, object]) -> "FingerprintTrail":
-        if not isinstance(payload, Mapping) or payload.get("format") != _FORMAT:
-            raise FingerprintError(f"not a {_FORMAT!r} artifact")
-        if payload.get("version") != _VERSION:
-            raise FingerprintError(
-                f"unsupported fingerprint version {payload.get('version')!r} "
-                f"(supported: {_VERSION})"
-            )
+    def from_dict(cls, payload: object) -> "FingerprintTrail":
+        payload = check_header(payload, _FORMAT, _VERSION, FingerprintError)
         epochs = payload.get("epochs")
         if not isinstance(epochs, list):
             raise FingerprintError("'epochs' must be a list")
@@ -179,13 +180,7 @@ class FingerprintTrail:
 
     @classmethod
     def load(cls, path: str | Path) -> "FingerprintTrail":
-        try:
-            payload = json.loads(Path(path).read_text(encoding="utf-8"))
-        except OSError as exc:
-            raise FingerprintError(f"cannot read {path}: {exc}") from exc
-        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-            raise FingerprintError(f"{path} is not valid JSON: {exc}") from exc
-        return cls.from_dict(payload)
+        return cls.from_dict(read_json(path, FingerprintError, "fingerprint trail"))
 
 
 class DeterminismSanitizer:

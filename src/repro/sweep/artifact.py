@@ -12,11 +12,10 @@ diffable in CI without this library.
 
 from __future__ import annotations
 
-import json
-import math
 import pathlib
 from dataclasses import dataclass, field
 
+from ..artifact import check_header, nan_to_null, null_to_nan, read_json, save_json
 from ..errors import SweepError
 from .manifest import SweepManifest
 
@@ -31,28 +30,6 @@ SWEEP_VERSION = 1
 def _require(condition: bool, message: str) -> None:
     if not condition:
         raise SweepError(message)
-
-
-def _clean(value: object) -> object:
-    """JSON has no NaN/Inf; encode them as null (restored on load as
-    NaN, which every consumer treats as "missing")."""
-    if isinstance(value, float) and not math.isfinite(value):
-        return None
-    if isinstance(value, dict):
-        return {k: _clean(v) for k, v in value.items()}
-    if isinstance(value, list):
-        return [_clean(v) for v in value]
-    return value
-
-
-def _restore(value: object) -> object:
-    if value is None:
-        return float("nan")
-    if isinstance(value, dict):
-        return {k: _restore(v) for k, v in value.items()}
-    if isinstance(value, list):
-        return [_restore(v) for v in value]
-    return value
 
 
 @dataclass(frozen=True)
@@ -107,24 +84,14 @@ class SweepArtifact:
             "manifest": self.manifest.to_dict(),
             "manifest_hash": self.manifest.manifest_hash,
             "meta": dict(self.meta),
-            "cells": _clean(list(self.cells)),
-            "failures": _clean(list(self.failures)),
-            "groups": _clean(dict(self.groups)),
+            "cells": nan_to_null(list(self.cells)),
+            "failures": nan_to_null(list(self.failures)),
+            "groups": nan_to_null(dict(self.groups)),
         }
 
     @classmethod
     def from_dict(cls, raw: object) -> "SweepArtifact":
-        _require(isinstance(raw, dict), f"not a {SWEEP_FORMAT} artifact: {raw!r}")
-        assert isinstance(raw, dict)
-        _require(
-            raw.get("format") == SWEEP_FORMAT,
-            f"not a {SWEEP_FORMAT} artifact (format={raw.get('format')!r})",
-        )
-        _require(
-            raw.get("version") == SWEEP_VERSION,
-            f"unsupported {SWEEP_FORMAT} version {raw.get('version')!r} "
-            f"(this build reads version {SWEEP_VERSION})",
-        )
+        raw = check_header(raw, SWEEP_FORMAT, SWEEP_VERSION, SweepError)
         manifest = SweepManifest.from_dict(raw.get("manifest"))
         recorded_hash = raw.get("manifest_hash")
         if recorded_hash is not None and recorded_hash != manifest.manifest_hash:
@@ -147,23 +114,15 @@ class SweepArtifact:
         meta = raw.get("meta", {})
         return cls(
             manifest=manifest,
-            cells=[_restore(dict(r)) for r in cells],
-            failures=[_restore(dict(r)) for r in failures],
-            groups={
-                str(k): _restore(dict(v)) for k, v in groups.items()
-            },
+            cells=[null_to_nan(dict(r)) for r in cells],
+            failures=[null_to_nan(dict(r)) for r in failures],
+            groups={str(k): null_to_nan(dict(v)) for k, v in groups.items()},
             meta=dict(meta) if isinstance(meta, dict) else {},
         )
 
     def save(self, path: str | pathlib.Path) -> None:
-        payload = json.dumps(self.to_dict(), indent=1, allow_nan=False)
-        pathlib.Path(path).write_text(payload + "\n")
+        save_json(path, self.to_dict(), allow_nan=False)
 
     @classmethod
     def load(cls, path: str | pathlib.Path) -> "SweepArtifact":
-        path = pathlib.Path(path)
-        try:
-            raw = json.loads(path.read_text(encoding="utf-8"))
-        except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
-            raise SweepError(f"cannot read sweep artifact {path}: {exc}") from exc
-        return cls.from_dict(raw)
+        return cls.from_dict(read_json(path, SweepError, "sweep artifact"))

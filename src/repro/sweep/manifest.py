@@ -23,6 +23,7 @@ import json
 import pathlib
 from dataclasses import dataclass, field
 
+from ..artifact import read_json, save_json
 from ..config import SimulationConfig, WorkloadParameters
 from ..errors import SweepError
 from ..experiments.comparison import POLICIES
@@ -319,17 +320,11 @@ class SweepManifest:
             raise SweepError(f"malformed manifest: {exc}") from exc
 
     def save(self, path: str | pathlib.Path) -> None:
-        payload = self.to_dict()
-        payload["manifest_hash"] = self.manifest_hash
-        pathlib.Path(path).write_text(json.dumps(payload, indent=1) + "\n")
+        save_json(path, {**self.to_dict(), "manifest_hash": self.manifest_hash})
 
     @classmethod
     def load(cls, path: str | pathlib.Path) -> "SweepManifest":
-        path = pathlib.Path(path)
-        try:
-            raw = json.loads(path.read_text())
-        except (OSError, json.JSONDecodeError) as exc:
-            raise SweepError(f"cannot read sweep manifest {path}: {exc}") from exc
+        raw = read_json(path, SweepError, "sweep manifest")
         if isinstance(raw, dict):
             raw.pop("manifest_hash", None)  # advisory on disk, recomputed
         return cls.from_dict(raw)

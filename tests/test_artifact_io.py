@@ -2,8 +2,8 @@
 
 ``.tsdb.json`` and ``.fp.json`` saves write one column or one epoch
 record at a time and must produce exactly ``json.dumps(to_dict(),
-indent=1)``; every streamed save, ``.prov.json`` included, replaces its
-target only once complete.
+indent=1)``; every artifact save and every CLI report or HTML output
+replaces its target only once complete.
 """
 
 from __future__ import annotations
@@ -23,12 +23,21 @@ import pytest
 from hypothesis import given, settings
 
 from repro.artifact import atomic_write
+from repro.cli import main
+from repro.metrics.collector import MetricsCollector
+from repro.metrics.export import to_json
+from repro.obs.perf.artifact import PerfProfile
 from repro.obs.provenance import ProvenanceRecorder
 from repro.obs.provenance import ledger as ledger_module
 from repro.obs.timeseries.artifact import Marker, TsdbArtifact
+from repro.obs.trace import JsonlTracer, TraceEvent
 from repro.sim import reasons
 from repro.sim.actions import Suicide
+from repro.staticcheck.baseline import Baseline
 from repro.staticcheck.sanitizer import COMPONENTS, EpochFingerprint, FingerprintTrail
+from repro.sweep import SweepArtifact, SweepManifest, SweepScale
+from repro.sweep.manifest import SweepCell
+from repro.sweep.worker import CELL_ARTIFACTS, run_cell
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
 
@@ -197,6 +206,85 @@ def _provenance_artifact():
     return recorder.artifact()
 
 
+def _profile() -> PerfProfile:
+    return PerfProfile(
+        meta={"policy": "rfh"},
+        nodes=[{"stack": ["serve"], "count": 2, "total_s": 0.5, "self_s": 0.5}],
+    )
+
+
+def _collector() -> MetricsCollector:
+    metrics = MetricsCollector()
+    metrics.record_epoch({"utilization": 0.5})
+    return metrics
+
+
+#: Every artifact writer, each given only its target path.
+_WRITERS = {
+    "tsdb": lambda path: TsdbArtifact(epochs=np.arange(2), columns={"x": np.ones(2)}).save(path),
+    "prov": lambda path: _provenance_artifact().save(path),
+    "fp": lambda path: FingerprintTrail(meta={"seed": 1}).save(path),
+    "prof": lambda path: _profile().save(path),
+    "speedscope": lambda path: _profile().save_speedscope(path),
+    "sweep": lambda path: SweepArtifact(manifest=SweepManifest(seeds=(1,))).save(path),
+    "sweep-manifest": lambda path: SweepManifest(seeds=(1,)).save(path),
+    "lint-baseline": lambda path: Baseline().save(path),
+    "metrics-json": lambda path: to_json(_collector(), path),
+}
+
+
+def _trace(inputs: pathlib.Path) -> str:
+    path = inputs / "t.jsonl"
+    with JsonlTracer(path) as tracer:
+        tracer.emit(TraceEvent(epoch=0, kind="replicate", server=1, partition=0, policy="rfh"))
+    return str(path)
+
+
+def _tsdb(inputs: pathlib.Path) -> str:
+    path = inputs / "run.tsdb.json"
+    TsdbArtifact(epochs=np.arange(3), columns={"utilization": np.ones(3)}).save(path)
+    return str(path)
+
+
+def _prof(inputs: pathlib.Path) -> str:
+    path = inputs / "run.prof.json"
+    _profile().save(path)
+    return str(path)
+
+
+def _prov(inputs: pathlib.Path) -> str:
+    path = inputs / "run.prov.json"
+    _provenance_artifact().save(path)
+    return str(path)
+
+
+_TINY = ["--epochs", "3", "--partitions", "8", "--rate", "30"]
+
+#: Every CLI command that writes a report or HTML file, given its input
+#: directory and target path.
+_CLI_OUTPUTS = {
+    "analyze": lambda inputs, target: ["analyze", _trace(inputs), "--out", target],
+    "diff": lambda inputs, target: ["diff", _tsdb(inputs), _tsdb(inputs), "--out", target],
+    "dashboard": lambda inputs, target: ["dashboard", _tsdb(inputs), "--out", target],
+    "perfdiff": lambda inputs, target: ["perfdiff", _prof(inputs), _prof(inputs), "--out", target],
+    "explain": lambda inputs, target: [
+        "explain", _prov(inputs), "--partition", "1", "--out", target
+    ],
+    "flamegraph": lambda inputs, target: [
+        "profile", *_TINY, "--no-alloc", "--out", str(inputs / "run.prof.json"),
+        "--speedscope", "", "--flamegraph", target,
+    ],
+    "sweep-report": lambda inputs, target: [
+        "sweep", "--policies", "rfh", "--seeds", "1", *_TINY, "--out", str(inputs / "sweep"),
+        "--report", target,
+    ],
+    "sweep-dashboard": lambda inputs, target: [
+        "sweep", "--policies", "rfh", "--seeds", "1", *_TINY, "--out", str(inputs / "sweep"),
+        "--dashboard", target,
+    ],
+}
+
+
 class TestAtomicReplace:
     def _assert_untouched(self, directory: pathlib.Path, target: pathlib.Path) -> None:
         assert target.read_bytes() == b"previous artifact\n"
@@ -251,18 +339,41 @@ class TestAtomicReplace:
             trail.save(target)
         self._assert_untouched(tmp_path, target)
 
-    @pytest.mark.parametrize("kind", ["tsdb", "prov", "fp"])
+    @pytest.mark.parametrize("kind", sorted(_WRITERS))
     def test_successful_save_replaces_the_target_and_leaves_nothing_else(self, kind, tmp_path):
-        artifact = {
-            "tsdb": lambda: TsdbArtifact(epochs=np.arange(2), columns={"x": np.ones(2)}),
-            "prov": _provenance_artifact,
-            "fp": lambda: FingerprintTrail(meta={"seed": 1}),
-        }[kind]()
         target = tmp_path / f"run.{kind}.json"
         target.write_bytes(b"previous artifact\n")
-        artifact.save(target)
+        replaced = target.stat().st_ino
+        _WRITERS[kind](target)
         assert sorted(p.name for p in tmp_path.iterdir()) == [target.name]
-        assert json.loads(target.read_text())["version"] == 1
+        assert target.stat().st_ino != replaced, "written in place, not replaced"
+        assert json.loads(target.read_text())
+
+    def test_cell_record_replaces_the_old_one(self, tmp_path):
+        cell = SweepCell("rfh", "random", 1, SweepScale("tiny", 8, 30.0), "scalar", epochs=3)
+        record = tmp_path / CELL_ARTIFACTS["record"]
+        record.write_bytes(b"previous artifact\n")
+        replaced = record.stat().st_ino
+        run_cell(cell, tmp_path, manifest_hash="0" * 12)
+        assert sorted(p.name for p in tmp_path.iterdir()) == sorted(CELL_ARTIFACTS.values())
+        assert record.stat().st_ino != replaced
+        assert json.loads(record.read_text())["status"] == "ok"
+
+    @pytest.mark.parametrize("command", sorted(_CLI_OUTPUTS))
+    def test_cli_output_replaces_the_target_and_leaves_nothing_else(
+        self, command, tmp_path, capsys
+    ):
+        inputs, out = tmp_path / "in", tmp_path / "out"
+        inputs.mkdir()
+        out.mkdir()
+        target = out / "report"
+        target.write_bytes(b"previous artifact\n")
+        replaced = target.stat().st_ino
+        main(_CLI_OUTPUTS[command](inputs, str(target)))
+        assert f"wrote {target}" in capsys.readouterr().out
+        assert sorted(p.name for p in out.iterdir()) == [target.name]
+        assert target.stat().st_ino != replaced, "written in place, not replaced"
+        assert target.read_bytes() not in (b"", b"previous artifact\n")
 
     def test_a_symlinked_target_is_replaced_behind_its_link(self, tmp_path):
         (tmp_path / "store").mkdir()
@@ -290,6 +401,19 @@ class TestAtomicReplace:
         assert received == [(json.dumps(artifact.to_dict(), indent=1) + "\n").encode()]
         assert stat.S_ISFIFO(fifo.stat().st_mode)
         assert sorted(p.name for p in tmp_path.iterdir()) == [fifo.name]
+
+    @pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="needs /dev/fd")
+    def test_a_descriptor_path_to_a_pipe_is_written_in_place(self):
+        # ``--out /dev/stdout`` with stdout on a pipe: the link resolves
+        # to a ``pipe:[...]`` name that has no directory to write beside.
+        read_fd, write_fd = os.pipe()
+        try:
+            with atomic_write(f"/dev/fd/{write_fd}") as out:
+                out.write("through the pipe\n")
+        finally:
+            os.close(write_fd)
+        with os.fdopen(read_fd, "rb") as received:
+            assert received.read() == b"through the pipe\n"
 
     def test_atomic_write_creates_new_files_like_open(self, tmp_path):
         with open(tmp_path / "plain", "w") as out:

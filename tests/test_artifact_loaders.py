@@ -1,7 +1,8 @@
-"""Every JSON artifact loader rejects unreadable or truncated bytes with its typed error."""
+"""Every JSON artifact loader rejects unreadable, non-JSON or truncated bytes with its typed error."""
 
 from __future__ import annotations
 
+import json
 import pathlib
 
 import hypothesis.strategies as st
@@ -9,7 +10,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 
-from repro.errors import ProvenanceError, SweepError, TsdbError
+from repro.errors import ProvenanceError, SimulationError, SweepError, TsdbError
+from repro.metrics.export import from_json
 from repro.obs.perf.artifact import PerfProfile, ProfileError
 from repro.obs.provenance import ProvenanceRecorder
 from repro.obs.provenance.artifact import ProvArtifact
@@ -19,6 +21,7 @@ from repro.sim.actions import Suicide
 from repro.staticcheck.baseline import Baseline, BaselineError
 from repro.staticcheck.sanitizer import EpochFingerprint, FingerprintError, FingerprintTrail
 from repro.sweep.artifact import SweepArtifact
+from repro.sweep.manifest import SweepManifest
 
 LOADERS = [
     pytest.param(FingerprintTrail.load, FingerprintError, id="fingerprint"),
@@ -27,6 +30,8 @@ LOADERS = [
     pytest.param(SweepArtifact.load, SweepError, id="sweep"),
     pytest.param(ProvArtifact.load, ProvenanceError, id="prov"),
     pytest.param(Baseline.load, BaselineError, id="lint-baseline"),
+    pytest.param(SweepManifest.load, SweepError, id="sweep-manifest"),
+    pytest.param(from_json, SimulationError, id="metrics-json"),
 ]
 
 
@@ -43,6 +48,38 @@ def test_non_utf8_file_raises_typed_error_naming_the_path(
     path.write_bytes(content)
     with pytest.raises(error, match="bad.json"):
         load(path)
+
+
+@pytest.mark.parametrize("load, error", LOADERS)
+@pytest.mark.parametrize(
+    "content", [b"", b"{not json", b"[1, 2"], ids=["empty", "not-json", "unclosed"]
+)
+def test_non_json_file_raises_typed_error_naming_the_path(
+    load, error, content: bytes, tmp_path
+) -> None:
+    path = tmp_path / "bad.json"
+    path.write_bytes(content)
+    with pytest.raises(error, match="bad.json"):
+        load(path)
+
+
+@pytest.mark.parametrize("load, error", LOADERS)
+def test_missing_file_raises_typed_error_naming_the_path(load, error, tmp_path) -> None:
+    with pytest.raises(error, match="absent.json"):
+        load(tmp_path / "absent.json")
+
+
+@pytest.mark.parametrize(
+    "payload",
+    [[1], 7, {"epochs": "many", "series": {}}, {"epochs": 1, "series": {"a": None}},
+     {"epochs": 1, "series": {"a": ["x"]}}, {"epochs": 1, "series": ["a"]}],
+    ids=["list", "number", "bad-epochs", "null-series", "string-sample", "series-list"],
+)
+def test_malformed_metrics_json_raises_simulation_error(payload, tmp_path) -> None:
+    path = tmp_path / "metrics.json"
+    path.write_text(json.dumps(payload))
+    with pytest.raises(SimulationError):
+        from_json(path)
 
 
 @pytest.mark.parametrize("section", ["phases", "meta", "counters", "allocations"])
@@ -101,10 +138,42 @@ def _saved_trail(path: pathlib.Path) -> None:
     ).save(path)
 
 
+def _saved_profile(path: pathlib.Path) -> None:
+    PerfProfile(
+        meta={"policy": "rfh"},
+        phases={"serve": {"count": 2, "total": 0.5, "mean": 0.25, "p50": 0.25, "p95": 0.3}},
+        nodes=[{"stack": ["serve"], "count": 2, "total_s": 0.5, "self_s": 0.5}],
+        counters={"partitions_scanned": 128.0},
+    ).save(path)
+
+
+def _manifest() -> SweepManifest:
+    return SweepManifest(policies=("rfh", "random"), seeds=(1, 2), epochs=6)
+
+
+def _saved_sweep(path: pathlib.Path) -> None:
+    SweepArtifact(
+        manifest=_manifest(),
+        cells=[{"cell_id": "rfh-1", "status": "ok", "summaries": {"unserved": float("nan")}}],
+        groups={"rfh/random/paper/scalar": {"unserved": {"mean": 1.5, "lo": float("nan")}}},
+        meta={"wall_s": 0.5},
+    ).save(path)
+
+
+def _saved_baseline(path: pathlib.Path) -> None:
+    Baseline(
+        [{"path": "m.py", "rule": "REP001", "line": 2, "snippet": "x", "fingerprint": "ab"}]
+    ).save(path)
+
+
 SAVED = {
     "prov": (_saved_provenance, ProvArtifact.load, ProvenanceError),
     "tsdb": (_saved_timeseries, TsdbArtifact.load, TsdbError),
     "fingerprint": (_saved_trail, FingerprintTrail.load, FingerprintError),
+    "prof": (_saved_profile, PerfProfile.load, ProfileError),
+    "sweep": (_saved_sweep, SweepArtifact.load, SweepError),
+    "sweep-manifest": (lambda path: _manifest().save(path), SweepManifest.load, SweepError),
+    "lint-baseline": (_saved_baseline, Baseline.load, BaselineError),
 }
 
 

@@ -410,6 +410,37 @@ class TestCrashSafeReadJsonl:
         with pytest.raises(json.JSONDecodeError):
             list(read_jsonl(path, strict=True))
 
+    def _write_with(self, tmp_path, bad_line: bytes):
+        path = tmp_path / "t.jsonl"
+        with JsonlTracer(path) as tracer:
+            tracer.emit(TraceEvent(epoch=0, kind="replicate", server=1))
+        with open(path, "ab") as handle:
+            handle.write(bad_line + b"\n")
+        with JsonlTracer(tmp_path / "tail.jsonl") as tracer:
+            tracer.emit(TraceEvent(epoch=2, kind="suicide", server=1))
+        with open(path, "ab") as handle:
+            handle.write((tmp_path / "tail.jsonl").read_bytes())
+        return path
+
+    @pytest.mark.parametrize(
+        "bad_line, error",
+        [
+            (b'{"epoch": 1, "kind": "migrate", "reason": "\xff\xfe"}', UnicodeDecodeError),
+            (b'{"epoch": 1}', KeyError),
+            (b"[1, 2]", AttributeError),
+        ],
+        ids=["non-utf8", "not-an-event", "not-an-object"],
+    )
+    def test_malformed_line_is_skipped_and_raises_in_strict_mode(
+        self, tmp_path, bad_line, error
+    ):
+        path = self._write_with(tmp_path, bad_line)
+        with pytest.warns(TraceReadWarning, match=r"t\.jsonl:2: skipping malformed"):
+            events = list(read_jsonl(path))
+        assert [(e.epoch, e.kind) for e in events] == [(0, "replicate"), (2, "suicide")]
+        with pytest.raises(error):
+            list(read_jsonl(path, strict=True))
+
     def test_clean_file_reads_without_warning(self, tmp_path):
         path = tmp_path / "t.jsonl"
         with JsonlTracer(path) as tracer:

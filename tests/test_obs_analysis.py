@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import math
 import re
 
 from repro.cli import main
@@ -369,6 +370,21 @@ class TestExporters:
         assert '# TYPE replica_lifetime_epochs summary' in text
         assert 'replica_lifetime_epochs{policy="rfh",quantile="0.5"} 5' in text
         assert 'replica_lifetime_epochs_count{policy="rfh"} 3' in text
+
+    def test_prometheus_prints_exact_samples(self):
+        registry = InstrumentRegistry()
+        registry.counter("sla_miss_total", policy="rfh").inc(5772.5329215172715)
+        registry.counter("trace_events_total", kind="replicate").inc(1_234_567)
+        registry.counter("actions_total", kind="migrate").inc(float("inf"))
+        text = to_prometheus(registry)
+        assert_valid_prometheus(text)
+        assert 'sla_miss_total{policy="rfh"} 5772.5329215172715\n' in text
+        assert 'trace_events_total{kind="replicate"} 1234567\n' in text
+        assert 'actions_total{kind="migrate"} +Inf\n' in text
+        rows = [{"name": "drift", "labels": {}, "value": value} for value in (-math.inf, math.nan)]
+        text = to_prometheus({"counters": rows})
+        assert_valid_prometheus(text)
+        assert text.endswith("drift -Inf\ndrift NaN\n")
 
     def test_prometheus_escapes_label_values(self):
         registry = InstrumentRegistry()

@@ -838,7 +838,9 @@ class TestEngineIntegration:
             return recorders[policy]
 
         compare_policies(
-            _scenario(epochs=6), ("rfh", "random"), provenance_factory=factory
+            _scenario(epochs=6),
+            ("rfh", "random"),
+            observers=lambda policy: {"provenance": factory(policy)},
         )
         assert set(recorders) == {"rfh", "random"}
         assert all(r.records for r in recorders.values())

@@ -289,6 +289,17 @@ class TestRunSweep:
         )
         assert diff_sweeps(clean, second).exit_code() == 0
 
+    def test_resume_reruns_a_cell_whose_record_is_not_utf8(self, tmp_path):
+        m = small_manifest(policies=("rfh",))
+        run_sweep(m, tmp_path, progress=quiet_progress(m.num_cells))
+        bad = m.cells()[0]
+        (tmp_path / "cells" / bad.dirname / "cell.json").write_bytes(b"\xff\xfe{")
+        assert load_cell_record(bad, tmp_path / "cells" / bad.dirname, m.manifest_hash) is None
+        again = run_sweep(m, tmp_path, resume=True, progress=quiet_progress(m.num_cells))
+        assert again.num_ok == m.num_cells and again.num_failed == 0
+        assert [record["resumed"] for record in again.cells] == [False, True]
+        assert load_cell_record(bad, tmp_path / "cells" / bad.dirname, m.manifest_hash)
+
     def test_resume_rejects_tampered_cell_record(self, tmp_path):
         m = small_manifest()
         run_sweep(m, tmp_path, progress=quiet_progress(m.num_cells))
