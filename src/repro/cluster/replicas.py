@@ -50,8 +50,8 @@ class ReplicaMap:
         # Lazily-built per-partition grouping {dc: [(sid, count), ...]}.
         self._dc_cache: list[dict[int, list[tuple[int, int]]] | None] = [None] * num_partitions
         # Optional columnar mirror (repro.sim.columnar.state.SimState):
-        # notified on every count/holder mutation so a dense replica
-        # matrix can track this map without O(P*S) rebuilds.
+        # notified on every count/holder mutation so the mirror's replica
+        # cells can track this map without O(P*S) rebuilds.
         self._mirror = None
 
     # ------------------------------------------------------------------

@@ -13,7 +13,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from ..config import RFHParameters
-from ..sim.actions import Action
+from ..sim.actions import Action, Migrate, Replicate, Suicide
 from ..sim.observation import EpochObservation
 from .decision import (
     SUICIDE_HEADROOM,
@@ -22,36 +22,86 @@ from .decision import (
 )
 from .smoothing import ActiveRowEwma, Ewma
 from .thresholds import UNSERVED_TOLERANCE
-from .traffic import _null_span
+from .traffic import _null_span, upsert_cells
 
 if TYPE_CHECKING:
     from .traffic import CellMatrix
     from ..obs.perf.counters import WorkCounters
     from ..sim.columnar.state import SimState
 
-__all__ = ["RFHPolicy", "ReplicaAges"]
+__all__ = ["BirthLedger", "RFHPolicy", "ReplicaAges"]
+
+#: A birth key is ``partition << SID_BITS | sid``: keys sort by
+#: partition, then sid.
+SID_BITS = 32
+
+
+class BirthLedger:
+    """Birth epochs of the replicas the policy placed, for the suicide
+    warm-up exemption.
+
+    ``keys`` are the ascending int64 ``(partition, sid)`` keys of the
+    births (``partition << SID_BITS | sid``) and ``epochs`` their int32
+    birth epochs.  Every Replicate or Migrate target a decision returns
+    is born then, whether or not apply places it; a Migrate source or a
+    Suicide removes its birth.  Nothing else does: a birth outlives its
+    copy's server failing, and reads again if a restore or a later
+    placement puts a copy on that server.
+    """
+
+    __slots__ = ("keys", "epochs")
+
+    def __init__(self) -> None:
+        self.keys = np.zeros(0, dtype=np.int64)
+        self.epochs = np.zeros(0, dtype=np.int32)
+
+    def born(self, partition: int, sid: int) -> int | None:
+        """Birth epoch of the copy of ``partition`` on ``sid``, if recorded."""
+        key = partition << SID_BITS | sid
+        i = int(self.keys.searchsorted(key))
+        if i < self.keys.shape[0] and int(self.keys[i]) == key:
+            return int(self.epochs[i])
+        return None
+
+    def record(self, epoch: int, actions: list[Action]) -> None:
+        """Write one epoch's actions in, in one sorted merge.
+
+        The actions apply in order, so where two touch the same copy
+        the later one decides whether its birth stays.
+        """
+        born: dict[int, bool] = {}
+        for action in actions:
+            if isinstance(action, (Replicate, Migrate)):
+                born[action.partition << SID_BITS | action.target_sid] = True
+            if isinstance(action, Migrate):
+                born[action.partition << SID_BITS | action.source_sid] = False
+            elif isinstance(action, Suicide):
+                born[action.partition << SID_BITS | action.sid] = False
+        if not born:
+            return
+        keys = np.fromiter(born.keys(), dtype=np.int64, count=len(born))
+        live = np.fromiter(born.values(), dtype=bool, count=len(born))
+        epochs = np.full(len(born), epoch, dtype=np.int32)
+        self.keys, self.epochs = upsert_cells(self.keys, self.epochs, keys, epochs, live)
 
 
 class ReplicaAges:
     """Lazy ``(partition, sid) → age-in-epochs`` view of the birth ledger.
 
     The decision tree only ever looks up replicas of the partition it is
-    evaluating, so resolving ages on demand (instead of materialising a
-    dict over every recorded birth each epoch) returns the identical
-    values at O(lookups) cost.
+    evaluating, so resolving ages on demand (a binary search per lookup)
+    instead of materialising every recorded birth each epoch returns the
+    identical values at O(lookups) cost.
     """
 
-    __slots__ = ("_birth", "_epoch")
+    __slots__ = ("_births", "_epoch")
 
-    def __init__(self, birth: dict[int, dict[int, int]], epoch: int) -> None:
-        self._birth = birth
+    def __init__(self, births: BirthLedger, epoch: int) -> None:
+        self._births = births
         self._epoch = epoch
 
     def get(self, key: tuple[int, int], default: int) -> int:
-        by_sid = self._birth.get(key[0])
-        if by_sid is None:
-            return default
-        born = by_sid.get(key[1])
+        born = self._births.born(key[0], key[1])
         return default if born is None else self._epoch - born
 
 
@@ -75,21 +125,19 @@ class RFHPolicy:
         self._traffic = ActiveRowEwma(self._params.alpha)  # Eq. 11, (partition, dc)
         self._served = ActiveRowEwma(self._params.alpha)  # (partition, server)
         # Birth epoch of replicas this policy created, for the suicide
-        # warm-up exemption, indexed partition → {sid: epoch} so the age
-        # view can be built only for the partitions under evaluation.
-        self._birth: dict[int, dict[int, int]] = {}
+        # warm-up exemption.
+        self._births = BirthLedger()
         self._decision = RFHDecision(self._params)
         # Perf instrumentation (opt-in via attach_perf): a kernel-span
         # factory and the shared work counters.
         self._span = _null_span
         self._work: WorkCounters | None = None
         # Columnar decision prefilter (opt-in via attach_columnar_state):
-        # with a dense replica mirror available, partitions that provably
+        # with a replica-cell mirror available, partitions that provably
         # take no branch of the Fig. 2 tree are skipped in bulk.  Scalar
         # runs never attach one, so the reference loop stays untouched.
         self._columnar_state: SimState | None = None
         self._provenance_attached = False
-        self._arange_servers = np.zeros(0, dtype=np.int64)
 
     @property
     def params(self) -> RFHParameters:
@@ -147,7 +195,7 @@ class RFHPolicy:
                         replica_age=age,
                     )
                 )
-        self._record_births(obs.epoch, actions)
+        self._births.record(obs.epoch, actions)
         return actions
 
     def _decision_partitions(
@@ -199,28 +247,27 @@ class RFHPolicy:
         # A suicide is only *possible* when some non-holder replica sits
         # under both the Eq. 15 bar and the idle bar (age is checked in
         # the tree itself — ignoring it here only costs an evaluation).
-        # The per-server scan runs only on rows that already cleared the
-        # comfortable/floor gates — the candidate predicate is pure and
-        # elementwise, so restricting its evaluation changes nothing.
+        # The per-replica scan runs only on the cells of rows that
+        # already cleared the comfortable/floor gates — the candidate
+        # predicate is pure and elementwise, so restricting its
+        # evaluation changes nothing.
         counts = state.replica_counts()
         shrinkable = comfortable & (counts - 1 >= obs.rmin)
         may_shrink = shrinkable
-        rows = np.nonzero(shrinkable)[0]
-        if rows.shape[0]:
-            arange = self._arange_servers
-            if arange.shape[0] != num_servers:
-                arange = np.arange(num_servers)
-                self._arange_servers = arange
-            delta_bar = params.delta * avg_query
-            served_rows = served.take(rows)
-            candidate_rows = (
-                (state.R[rows] > 0)
-                & (arange[None, :] != state.holder[rows, None])
-                & (served_rows <= delta_bar[rows, None])
-                & (served_rows <= SUICIDE_IDLE_BAR)
-            ).any(axis=1)
+        if shrinkable.any():
+            index, _count = state.cells()
+            row = index // num_servers
+            picked = shrinkable[row]
+            row = row[picked]
+            col = index[picked] % num_servers
+            served_cells = served.cells(row, col)
+            candidate = (
+                (col != state.holder[row])
+                & (served_cells <= params.delta * avg_query[row])
+                & (served_cells <= SUICIDE_IDLE_BAR)
+            )
             may_shrink = np.zeros(counts.shape[0], dtype=bool)
-            may_shrink[rows] = candidate_rows
+            may_shrink[row[candidate]] = True
         skip = (
             (state.holder >= 0)
             & (counts >= obs.rmin)
@@ -233,23 +280,7 @@ class RFHPolicy:
 
     def _replica_ages(self, epoch: int) -> ReplicaAges:
         """Age view of policy-placed replicas, resolved on lookup."""
-        return ReplicaAges(self._birth, epoch)
-
-    def _record_births(self, epoch: int, actions: list[Action]) -> None:
-        """Track creation epochs of replicas this policy just placed."""
-        from ..sim.actions import Migrate, Replicate, Suicide
-
-        for action in actions:
-            if isinstance(action, Replicate):
-                self._birth.setdefault(action.partition, {})[action.target_sid] = epoch
-            elif isinstance(action, Migrate):
-                by_sid = self._birth.setdefault(action.partition, {})
-                by_sid[action.target_sid] = epoch
-                by_sid.pop(action.source_sid, None)
-            elif isinstance(action, Suicide):
-                by_sid = self._birth.get(action.partition)
-                if by_sid is not None:
-                    by_sid.pop(action.sid, None)
+        return ReplicaAges(self._births, epoch)
 
     def _update_traffic(self, raw: "CellMatrix") -> ActiveRowEwma:
         """EWMA of the (P, D) traffic matrix (Eq. 11), in place."""

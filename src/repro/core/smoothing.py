@@ -174,17 +174,21 @@ class ActiveRowEwma:
         slot = self._slot[i]
         return self._zero if slot < 0 else self._block[slot]
 
-    def take(self, rows: np.ndarray) -> np.ndarray:
-        """``dense()[rows]``, gathered from the block into a new array."""
+    def cells(self, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+        """``dense()[rows, cols]``: one element per (row, col) pair, gathered
+        from the block (+0.0 on a row never touched)."""
         slot = self._slot[rows]
-        out = np.zeros((slot.shape[0], self._block.shape[1]))
+        out = np.zeros(slot.shape[0])
         hit = slot >= 0
-        out[hit] = self._block[slot[hit]]
+        out[hit] = self._block[slot[hit], cols[hit]]
         return out
 
     def dense(self) -> np.ndarray:
         """The whole dense state, built afresh on every call."""
-        return self.take(np.arange(self.shape[0]))
+        out = np.zeros(self.shape)
+        hit = self._slot >= 0
+        out[hit] = self._block[self._slot[hit]]
+        return out
 
     def _activate(self, rows: np.ndarray) -> None:
         """Give block rows to ``rows``: inactive, non-decreasing, non-empty."""

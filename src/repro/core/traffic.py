@@ -45,7 +45,7 @@ from ..workload.query import QueryBatch
 if TYPE_CHECKING:
     from ..obs.perf.counters import WorkCounters
 
-__all__ = ["CellMatrix", "ServiceResult", "serve_epoch"]
+__all__ = ["CellMatrix", "ServiceResult", "serve_epoch", "upsert_cells"]
 
 #: Per-partition replica layout: ``{dc: [(sid, capacity_queries_per_epoch)]}``.
 ReplicaLayout = Mapping[int, Sequence[tuple[int, float]]]
@@ -188,6 +188,34 @@ class CellMatrix:
             return np.array([self.sum()], dtype=np.float64)
         sums = np.bincount(self.index % cols, weights=self.values, minlength=cols)
         return sums.astype(np.float64, copy=False)  # int64 when there are no cells
+
+
+def upsert_cells(
+    index: np.ndarray,
+    values: np.ndarray,
+    keys: np.ndarray,
+    new: np.ndarray,
+    live: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Sorted cells ``(index, values)`` with the cells at ``keys`` rewritten.
+
+    ``index`` ascends without repeats and ``values`` is aligned with it;
+    ``keys`` has no repeats, in any order.  Afterwards ``keys[i]`` holds
+    ``new[i]`` where ``live[i]`` (inserted if it was absent) and is gone
+    otherwise; every other cell is kept.  Returns new arrays, in one
+    sorted merge, and leaves the inputs unchanged.
+    """
+    order = np.argsort(keys)
+    keys, new, live = keys[order], new[order], live[order]
+    pos = np.searchsorted(index, keys)
+    found = pos < index.shape[0]
+    found[found] = index[pos[found]] == keys[found]
+    kept = np.ones(index.shape[0], dtype=bool)
+    kept[pos[found]] = False
+    index, values = index[kept], values[kept]
+    keys, new = keys[live], new[live]
+    at = np.searchsorted(index, keys)
+    return np.insert(index, at, keys), np.insert(values, at, new)
 
 
 @dataclass(frozen=True)

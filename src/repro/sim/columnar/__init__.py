@@ -2,9 +2,9 @@
 
 The scalar :class:`~repro.sim.engine.Simulation` walks partitions in
 Python loops; this package keeps the same world objects (cluster, replica
-map, RNG tree, policy) but mirrors the replica layout into dense numpy
-arrays (:class:`SimState`) and replaces the serve/observe/record hot
-paths with array kernels.
+map, RNG tree, policy) but mirrors the replica layout into numpy
+arrays of its nonzero cells (:class:`SimState`) and replaces the
+serve/observe/record hot paths with array kernels.
 
 The contract (DESIGN.md §"Columnar engine"): **bit-identical results**.
 Decision ordering, RNG draw sequences and every recorded metric value

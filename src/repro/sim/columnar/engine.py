@@ -74,16 +74,16 @@ class ColumnarSimulation(Simulation):
         self._total_cache = 0
         self._alive_epoch = -1
         self._alive_cache = np.zeros(0, dtype=bool)
-        # Replica-mask index cache for the metric kernels: the row-major
-        # flat index of every (partition, server) cell holding replicas,
-        # ascending (the order boolean masking enumerates).
+        # Replica-cell cache for the metric kernels: the mirror's cells
+        # (ascending row-major flat index) with their servers' capacities
+        # and their counts as float64.
         self._mask_version = -1
         self._mask_shape = (0, 0)
         self._mask_index = np.zeros(0, dtype=np.int64)
         self._mask_cap = np.zeros(0, dtype=np.float64)
         self._mask_cnt_f = np.zeros(0, dtype=np.float64)
         self._mask_cap_ok = True
-        # Policies that support it (RFH) get the dense mirror for their
+        # Policies that support it (RFH) get the cell mirror for their
         # vectorized decision prefilter; baselines simply lack the hook.
         attach = getattr(self.policy, "attach_columnar_state", None)
         if attach is not None:
@@ -107,10 +107,6 @@ class ColumnarSimulation(Simulation):
         self._refresh_server_arrays()
         return self._capacity_cache
 
-    def _replica_count_matrix(self) -> np.ndarray:
-        self._refresh_server_arrays()
-        return self._state.R
-
     # ------------------------------------------------------------------
     # Hot-path overrides
     # ------------------------------------------------------------------
@@ -133,7 +129,7 @@ class ColumnarSimulation(Simulation):
             # O(P·D) each, and two sets must not be live at once.
             self._csr = None
             self._csr = build_slot_csr(
-                state.R,
+                *state.cells(),
                 state.holder,
                 self._dc_of_array,
                 self._capacity_cache,
@@ -182,27 +178,26 @@ class ColumnarSimulation(Simulation):
 
     def _total_replicas(self) -> int:
         if self._state.version != self._total_version:
-            self._total_cache = int(self._state.R.sum(dtype=np.int64))
+            self._total_cache = int(self._state.replica_counts().sum())
             self._total_version = self._state.version
         return self._total_cache
 
     def _ensure_mask_cache(self) -> None:
         """Refresh the replica-cell index cache when the layout moved."""
         state = self._state
-        capacities = self._server_capacity_array()  # may widen R first
-        if state.version == self._mask_version and state.R.shape == self._mask_shape:
+        capacities = self._server_capacity_array()  # may widen the mirror first
+        shape = (state.num_partitions, state.num_servers)
+        if state.version == self._mask_version and shape == self._mask_shape:
             return
-        index = np.flatnonzero(state.R > 0)
+        index, count = state.cells()
         self._mask_index = index
-        self._mask_cap = capacities[index % state.R.shape[1]]
-        self._mask_cnt_f = state.R.reshape(-1)[index].astype(np.float64)
+        self._mask_cap = capacities[index % shape[1]]
+        self._mask_cnt_f = count.astype(np.float64)
         self._mask_cap_ok = not bool((self._mask_cap <= 0).any())
         self._mask_version = state.version
-        self._mask_shape = state.R.shape
+        self._mask_shape = shape
 
-    def _served_metrics(
-        self, result: "ServiceResult", counts: np.ndarray, capacities: np.ndarray
-    ) -> tuple[float, float, float]:
+    def _served_metrics(self, result: "ServiceResult") -> tuple[float, float, float]:
         """Served total, Eq. 21 utilization and normalised Eq. 26 load CV
         from the served cells, bit-identical to the dense formulas.
 

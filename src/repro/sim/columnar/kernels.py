@@ -151,7 +151,8 @@ class SlotCSR:
 
 
 def build_slot_csr(
-    replica_matrix: np.ndarray,
+    cell_index: np.ndarray,
+    cell_count: np.ndarray,
     holder: np.ndarray,
     dc_of: np.ndarray,
     capacities: np.ndarray,
@@ -160,30 +161,31 @@ def build_slot_csr(
 ) -> SlotCSR:
     """Compile the replica layout into drain-ordered capacity slots.
 
-    ``replica_matrix[p, sid] > 0`` implies the server is alive (copies
-    are dropped with their server and never placed on dead ones), so no
-    liveness mask is needed.  Capacity per slot is ``count *
-    replica_capacity`` — the very multiply the scalar layout builder
-    performs.
+    The layout is its replica cells: ascending row-major flat indices
+    ``p · num_servers + sid`` and their copy counts, as
+    :meth:`SimState.cells` gives them.  A copy implies the server is
+    alive (copies are dropped with their server and never placed on
+    dead ones), so no liveness mask is needed.  Capacity per slot is
+    ``count * replica_capacity`` — the very multiply the scalar layout
+    builder performs.
     """
-    num_partitions = int(replica_matrix.shape[0])
-    pp, ss = np.nonzero(replica_matrix)
-    vals = replica_matrix[pp, ss]
+    num_partitions = int(holder.shape[0])
+    pp = cell_index // num_servers
+    ss = cell_index % num_servers
     slot_dc = dc_of[ss]
     is_holder = ss == holder[pp]
     # Primary sort partition, then datacenter, holder server last within
     # its datacenter, then ascending sid: the scalar drain order.
     order = np.lexsort((ss, is_holder, slot_dc, pp))
     n_slots = int(order.shape[0])
-    # np.nonzero enumerates the cells in ascending row-major order, so
-    # the inverse of the drain-order permutation maps cell k to its slot.
+    # The cells ascend in row-major order, so the inverse of the
+    # drain-order permutation maps cell k to its slot.
     cell_slot = np.empty(n_slots, dtype=np.int64)
     cell_slot[order] = np.arange(n_slots)
-    cell_index = pp * num_servers + ss
     holder_slot = np.full(num_partitions, n_slots, dtype=np.int64)
     holder_slot[pp[is_holder]] = cell_slot[is_holder]
     ss = ss[order]
-    cap = vals[order].astype(np.float64) * capacities[ss]
+    cap = cell_count[order].astype(np.float64) * capacities[ss]
     key = pp[order] * num_dcs + slot_dc[order]
     return SlotCSR(
         key, cap, cell_index, cell_slot, holder_slot, num_partitions * num_dcs

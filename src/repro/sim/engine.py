@@ -974,6 +974,7 @@ class Simulation:
     # Metric recording
     # ------------------------------------------------------------------
     def _replica_count_matrix(self) -> np.ndarray:
+        """Dense ``(P, S)`` copy counts, for the scalar metric formulas."""
         counts = np.zeros(
             (self.replicas.num_partitions, self.cluster.num_servers), dtype=np.int64
         )
@@ -1009,11 +1010,11 @@ class Simulation:
     # Metric-kernel hooks: the columnar engine overrides these with
     # cached-index evaluations of the same formulas (bit-identical by
     # construction); the scalar reference calls the metric module.
-    def _served_metrics(
-        self, result: ServiceResult, counts: np.ndarray, capacities: np.ndarray
-    ) -> tuple[float, float, float]:
+    def _served_metrics(self, result: ServiceResult) -> tuple[float, float, float]:
         """Total served, Eq. 21 utilization and normalised Eq. 26 load CV."""
         served = result.served_server
+        counts = self._replica_count_matrix()
+        capacities = self._server_capacity_array()
         return (
             float(served.sum()),
             average_utilization(served, counts, capacities),
@@ -1034,8 +1035,6 @@ class Simulation:
         consistency: "ConsistencySummary | None" = None,
     ) -> dict[str, float]:
         with self.profiler.span("storage-accounting"):
-            counts = self._replica_count_matrix()
-            capacities = self._server_capacity_array()
             alive_mask = self._alive_mask_array()
             summary = self._availability_summary()
         latency = self.latency.summarize_epoch(
@@ -1045,7 +1044,7 @@ class Simulation:
             float(batch.total),
         )
         total_replicas = self._total_replicas()
-        served, utilization, load_cv = self._served_metrics(result, counts, capacities)
+        served, utilization, load_cv = self._served_metrics(result)
         values = {
                 "utilization": utilization,
                 "total_replicas": float(total_replicas),

@@ -309,8 +309,8 @@ class TestActiveRowEwma:
             zero = ewma.row(untouched[0])
             assert _same_bits(zero, expected[untouched[0]]) and not zero.flags.writeable
             assert all(ewma.row(i) is zero for i in untouched)
-        picked = np.sort(rng.choice(rows, size=min(rows, 50), replace=False))
-        assert _same_bits(ewma.take(picked), ewma.dense()[picked])
+        picked = rng.integers(0, rows, size=50), rng.integers(0, expected.shape[1], size=50)
+        assert _same_bits(ewma.cells(*picked), expected[picked])
 
     def test_untouched_row_is_the_shared_read_only_zero_row(self):
         raw = np.zeros((5, 3))
@@ -324,8 +324,9 @@ class TestActiveRowEwma:
             zero[0] = 1.0
         assert _same_bits(ewma.row(1), raw[1]) and ewma.row(1).flags.writeable
         assert ewma.active_rows == 2
-        rows = np.array([0, 1, 3, 4])  # the prefilter's gather mixes both kinds
-        assert _same_bits(ewma.take(rows), raw[rows])
+        # The prefilter's per-cell gather mixes both kinds of row.
+        rows, cols = np.repeat([0, 1, 3, 4], 3), np.tile([0, 1, 2], 4)
+        assert _same_bits(ewma.cells(rows, cols), raw[rows, cols])
         grown = np.zeros((5, 4))  # a server joins: the zero row widens too
         ewma.update(CellMatrix.from_dense(grown))
         assert ewma.row(0).shape == (4,) and not ewma.row(0).flags.writeable

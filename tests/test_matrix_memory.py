@@ -5,7 +5,7 @@ Eq. 11 traffic EWMA and the served EWMA — is at most two such matrices,
 and only the rows of partitions that have seen traffic are stored.  The
 epoch's query batch and service result keep only their nonzero cells,
 the record phase sums the served cells without a dense scratch, and the
-replica mirror holds int32 counts (half an M).
+replica mirror and RFH's birth ledger keep only their cells.
 """
 
 from __future__ import annotations
@@ -194,13 +194,11 @@ def test_columnar_engine_holds_no_dense_float_matrix() -> None:
         and value.size >= cells
     ]
     assert dense == []
-    counts = sim._replica_count_matrix()
-    capacities = sim._server_capacity_array()
     gc.collect()
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]
-        sim._served_metrics(sim.last_result, counts, capacities)
+        sim._served_metrics(sim.last_result)
         rise = tracemalloc.get_traced_memory()[1] - before
     finally:
         tracemalloc.stop()
@@ -239,15 +237,65 @@ def test_generated_batch_keeps_only_its_cells() -> None:
 
 
 def test_replica_mirror_is_int32_and_sums_in_int64() -> None:
-    """``SimState.R`` stays int32 when a join widens it; per-partition
-    totals stay int64."""
+    """The mirror's cells keep int32 counts under an int64 row-major
+    index, re-keyed when a join widens the server axis; a count of zero
+    drops its cell; per-partition totals stay int64."""
     state = SimState(4, 3)
-    assert state.R.dtype == np.int32
     state.on_count(1, 2, 3)
     state.on_count(1, 5, 2)  # a copy on a joined server widens the axis
-    assert state.R.shape == (4, 6) and state.R.dtype == np.int32
+    assert state.num_servers == 6
+    index, count = state.cells()
+    assert index.dtype == np.int64 and count.dtype == np.int32
+    assert index.tolist() == [1 * 6 + 2, 1 * 6 + 5] and count.tolist() == [3, 2]
     state.ensure_servers(8)
-    assert state.R.shape == (4, 8) and state.R.dtype == np.int32
-    assert state.R[1].tolist() == [0, 0, 3, 0, 0, 2, 0, 0]
+    index, count = state.cells()
+    assert index.tolist() == [1 * 8 + 2, 1 * 8 + 5] and count.dtype == np.int32
+    state.on_count(1, 2, 0)
+    state.on_count(0, 7, 1)
+    index, count = state.cells()
+    assert index.tolist() == [0 * 8 + 7, 1 * 8 + 5] and count.tolist() == [1, 2]
     totals = state.replica_counts()
-    assert totals.dtype == np.int64 and totals.tolist() == [0, 5, 0, 0]
+    assert totals.dtype == np.int64 and totals.tolist() == [1, 2, 0, 0]
+
+
+def test_replica_cells_and_births_stay_small_at_scale() -> None:
+    """At 2×10⁴ partitions × 100 sites after 5 epochs, RFH's growth
+    burst included, the mirror's cells and the birth ledger hold at
+    most 1 MB together (a dense int32 mirror alone is 8 MB), and no
+    array attribute of the engine, its mirror or the policy has P·S or
+    more elements."""
+    hierarchy = build_synthetic_hierarchy(100)
+    config = SimulationConfig(
+        seed=11,
+        cluster=ClusterParameters(
+            rooms_per_datacenter=1, racks_per_room=1, servers_per_rack=1
+        ),
+        workload=WorkloadParameters(
+            queries_per_epoch_mean=10_000.0, num_partitions=20_000, zipf_exponent=2.0
+        ),
+    )
+    sim = ColumnarSimulation(
+        config,
+        policy="rfh",
+        hierarchy=hierarchy,
+        wan=build_ring_wan(hierarchy),
+        invariants=False,
+    )
+    sim.run(5)
+    state, births = sim._state, sim.policy._births
+    index, count = state.cells()
+    held = index.nbytes + count.nbytes + births.keys.nbytes + births.epochs.nbytes
+    assert held <= MB, f"cells and births hold {held / MB:.2f} MB"
+    owners = {
+        "engine": vars(sim),
+        "state": {name: getattr(state, name) for name in SimState.__slots__},
+        "policy": vars(sim.policy),
+    }
+    cells = config.workload.num_partitions * sim.cluster.num_servers
+    large = [
+        f"{owner}.{name}"
+        for owner, attributes in owners.items()
+        for name, value in attributes.items()
+        if isinstance(value, np.ndarray) and value.size >= cells
+    ]
+    assert large == []
