@@ -75,6 +75,8 @@ def from_json(path: str | pathlib.Path) -> MetricsCollector:
         series: dict[str, list[float]] = payload["series"]
         epochs = int(payload["epochs"])
         for name, values in series.items():
+            if not isinstance(values, list):
+                raise SimulationError(f"series {name!r} is not a JSON array")
             if len(values) != epochs:
                 raise SimulationError(
                     f"series {name!r} has {len(values)} values for {epochs} epochs"

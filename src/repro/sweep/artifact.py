@@ -111,6 +111,10 @@ class SweepArtifact:
                 "cell_id" in record and "status" in record,
                 f"cell record missing cell_id/status: {record!r}",
             )
+        for record in failures:
+            _require(isinstance(record, dict), f"failure record is not a JSON object: {record!r}")
+        for key, value in groups.items():
+            _require(isinstance(value, dict), f"group {key!r} is not a JSON object: {value!r}")
         meta = raw.get("meta", {})
         return cls(
             manifest=manifest,
