@@ -33,6 +33,7 @@ import json
 import math
 import os
 import pathlib
+import sys
 from collections.abc import Iterable, Iterator
 from typing import IO
 
@@ -114,11 +115,18 @@ def atomic_write(path: str | os.PathLike[str]) -> Iterator[IO[str]]:
     ``path`` points to), created like ``open(path, "w")`` would create
     it.  On success it is renamed onto that file; on any exception,
     interrupts included, it is removed and ``path`` is left as it was.
-    A ``path`` that exists but is not a regular file, such as
-    ``/dev/null``, a pipe or ``/dev/stdout`` on a terminal or pipe,
-    cannot be replaced and is written in place.
+    A ``path`` that is the file standard output writes to, such as
+    ``/dev/stdout``, is written through ``sys.stdout``, after what the
+    process printed before and, on an appending redirect, after what
+    the file held.  Any other ``path`` that exists but is not a regular
+    file, such as ``/dev/null`` or a pipe, cannot be replaced and is
+    written in place.
     """
-    # Judged on the path as given: ``/dev/stdout`` on a pipe resolves to
+    if _is_stdout(path):
+        yield sys.stdout
+        sys.stdout.flush()
+        return
+    # Judged on the path as given: ``/dev/fd/N`` on a pipe resolves to
     # a ``pipe:[...]`` name that has no directory to write beside.
     if os.path.exists(path) and not os.path.isfile(path):
         with open(path, "w", encoding="utf-8") as out:
@@ -146,6 +154,17 @@ def save_json(
 ) -> None:
     """Replace ``path`` with ``json.dumps(document, indent=1) + "\\n"``."""
     save_text(path, json.dumps(document, indent=1, allow_nan=allow_nan) + "\n")
+
+
+def _is_stdout(path: str | os.PathLike[str]) -> bool:
+    """Whether ``path`` is the file (same device and inode) that
+    ``sys.stdout``'s descriptor writes to."""
+    try:
+        target = os.stat(path)
+        stdout = os.fstat(sys.stdout.fileno())
+    except (AttributeError, OSError, ValueError):
+        return False  # no such file, or no stdout descriptor (captured)
+    return (target.st_dev, target.st_ino) == (stdout.st_dev, stdout.st_ino)
 
 
 def _new_sibling(target: pathlib.Path) -> tuple[pathlib.Path, int]:

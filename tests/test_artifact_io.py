@@ -13,6 +13,8 @@ import json
 import os
 import pathlib
 import stat
+import subprocess
+import sys
 import tempfile
 import threading
 import tracemalloc
@@ -414,6 +416,28 @@ class TestAtomicReplace:
             os.close(write_fd)
         with os.fdopen(read_fd, "rb") as received:
             assert received.read() == b"through the pipe\n"
+
+    @pytest.mark.skipif(not os.path.exists("/dev/stdout"), reason="needs /dev/stdout")
+    @pytest.mark.parametrize("redirect", [">", ">>", "|"])
+    def test_out_to_stdout_follows_what_was_printed(self, redirect, tmp_path):
+        """``--out /dev/stdout`` writes through standard output, wherever
+        it goes: a truncating or appending redirect keeps the file (and
+        what it held), and the ``wrote`` line follows the report."""
+        trace = _trace(tmp_path)
+        main(["analyze", trace, "--out", str(tmp_path / "report")])
+        report = (tmp_path / "report").read_bytes()
+        command = [sys.executable, "-m", "repro", "analyze", trace, "--out", "/dev/stdout"]
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+        sink = tmp_path / "stdout"
+        earlier = b"earlier output\n" if redirect == ">>" else b""
+        sink.write_bytes(earlier)
+        if redirect == "|":
+            got = subprocess.run(command, env=env, capture_output=True, check=True).stdout
+        else:
+            with open(sink, "ab" if redirect == ">>" else "wb") as out:
+                subprocess.run(command, env=env, stdout=out, check=True)
+            got = sink.read_bytes()
+        assert got == earlier + report + b"wrote /dev/stdout\n"
 
     def test_atomic_write_creates_new_files_like_open(self, tmp_path):
         with open(tmp_path / "plain", "w") as out:
