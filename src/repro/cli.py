@@ -152,7 +152,7 @@ def build_parser() -> argparse.ArgumentParser:
             "differential suite)",
         )
 
-    def chaos_opts(p: argparse.ArgumentParser) -> None:
+    def chaos_opt(p: argparse.ArgumentParser) -> None:
         p.add_argument(
             "--chaos",
             choices=sorted(CHAOS_SCENARIOS),
@@ -161,6 +161,9 @@ def build_parser() -> argparse.ArgumentParser:
             help="overlay a named chaos schedule "
             f"({', '.join(sorted(CHAOS_SCENARIOS))})",
         )
+
+    def chaos_opts(p: argparse.ArgumentParser) -> None:
+        chaos_opt(p)
         p.add_argument(
             "--check-invariants",
             action="store_true",
@@ -453,6 +456,7 @@ def build_parser() -> argparse.ArgumentParser:
         "and component",
     )
     common(san_p)
+    chaos_opt(san_p)
     engine_opt(san_p)
     san_p.add_argument(
         "--policy", choices=sorted(POLICIES), default="rfh", help="algorithm to run"

@@ -221,6 +221,17 @@ class TestSanitizeCli:
         out = capsys.readouterr().out
         assert "DIVERGENCE at epoch 0" in out
 
+    def test_chaos_run_matches_across_engines(self, tmp_path, capsys):
+        from repro.cli import main
+
+        fp = tmp_path / "chaos.fp.json"
+        chaos = ["--policy", "rfh", *FAST, "--chaos", "rolling-dc"]
+        assert main(["run", *chaos, "--engine", "scalar", "--fingerprint-out", str(fp)]) == 0
+        assert main(["sanitize", *chaos, "--engine", "columnar", "--against", str(fp)]) == 0
+        assert "fingerprint-identical" in capsys.readouterr().out
+        # Without the schedule the run differs: the option took effect.
+        assert main(["sanitize", "--policy", "rfh", *FAST, "--against", str(fp)]) == 1
+
     def test_json_report(self, capsys):
         from repro.cli import main
 
