@@ -177,8 +177,9 @@ def load_cell_record(
     """The prior completion record for ``cell`` if it is resumable.
 
     Returns ``None`` — meaning "re-run the cell" — unless ``cell.json``
-    exists, parses, reports ``status == "ok"`` and matches both the
-    cell digest and the sweep's manifest hash.
+    exists, parses, reports ``status == "ok"``, matches both the cell
+    digest and the sweep's manifest hash, and has the group and the
+    ``metric -> {field: number or null}`` summaries the merge reads.
     """
     record_path = pathlib.Path(cell_dir) / CELL_ARTIFACTS["record"]
     try:
@@ -189,6 +190,14 @@ def load_cell_record(
         return None
     if raw.get("digest") != cell.digest or raw.get("manifest_hash") != manifest_hash:
         return None
+    summaries = raw.get("summaries")
+    if not isinstance(raw.get("group"), str) or not isinstance(summaries, dict):
+        return None
+    for fields in summaries.values():
+        if not isinstance(fields, dict) or not all(
+            value is None or type(value) in (int, float) for value in fields.values()
+        ):
+            return None
     for artifact in CELL_ARTIFACTS.values():
         if not (pathlib.Path(cell_dir) / artifact).exists():
             return None
