@@ -270,12 +270,10 @@ def test_full_epoch_step_phase_attribution(benchmark):
 
 
 def test_lint_src_tree(benchmark):
-    """The full analysis platform over ``src/repro`` — every per-file
-    family (REP0/REP1/REP2) on every file.  This is the pre-commit and
-    CI gate's cost; it must stay interactive (the platform parses each
-    file once and shares the tree across analyzers).  Serial on purpose:
-    ``jobs=1`` timing is stable on small CI boxes, and the parallel
-    driver is proven byte-identical separately."""
+    """The full lint over ``src/repro`` — both rule families (REP0/REP1)
+    on every file.  This is the pre-commit and CI gate's cost; it must
+    stay interactive (the driver parses each file once and shares the
+    tree across both families)."""
     import pathlib
 
     from repro.staticcheck import lint_paths
@@ -283,7 +281,7 @@ def test_lint_src_tree(benchmark):
     src = pathlib.Path(__file__).resolve().parent.parent / "src" / "repro"
 
     def lint():
-        return lint_paths([src], jobs=1)
+        return lint_paths([src])
 
     result = benchmark.pedantic(lint, rounds=3, iterations=1)
     assert result.errors == []

@@ -17,10 +17,11 @@ Sixteen subcommands cover the workflows a user reaches for first:
   exit on regression, for CI gating);
 * ``dashboard`` — render a ``.tsdb.json`` run (optionally against a
   baseline) as a self-contained offline HTML dashboard;
-* ``lint``    — AST determinism lint (REP001–REP006: unseeded RNGs,
-  wall-clock reads, set-order iteration, float equality, mutable
-  defaults, non-literal rng stream names) with noqa suppressions and a
-  committed baseline; text/JSON/GitHub-annotation output;
+* ``lint``    — AST determinism lint (REP001–REP003 and REP006:
+  unseeded RNGs, wall-clock reads, set-order iteration, non-literal rng
+  stream names; REP101–REP102 in kernels: implicit dtype promotion,
+  unordered reductions) with noqa suppressions and a committed
+  baseline; text/JSON/GitHub-annotation output;
 * ``sanitize`` — run a config twice (or against a saved
   ``--fingerprint-out`` artifact) and report the **first divergent
   epoch and which component diverged** (replicas / storage / rng /
@@ -384,8 +385,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     lint_p = sub.add_parser(
         "lint",
-        help="static analysis: determinism (REP0xx), kernel purity "
-        "(REP1xx), concurrency (REP2xx) and project auditors (AUD)",
+        help="static analysis: determinism (REP0xx) and kernel purity "
+        "(REP1xx)",
     )
     lint_p.add_argument(
         "paths",
@@ -406,24 +407,14 @@ def build_parser() -> argparse.ArgumentParser:
         action="append",
         default=None,
         metavar="RULE|FAMILY",
-        help="rule ids or family prefixes (REP0, REP1, REP2, AUD; "
-        "comma-separable, e.g. REP1,REP2,AUD; repeatable); default: "
-        "every REP rule — AUD project auditors are opt-in",
+        help="rule ids or family prefixes (REP0, REP1; comma-separable, "
+        "e.g. REP1,REP002; repeatable); default: every rule",
     )
     lint_p.add_argument(
         "--changed",
         action="store_true",
         help="lint only files that differ from git HEAD (modified, "
         "staged or untracked) under the given paths",
-    )
-    lint_p.add_argument(
-        "--jobs",
-        type=int,
-        default=1,
-        metavar="N",
-        help="lint files in N parallel processes (0 = all cores); "
-        "findings merge in sorted path order, so output is identical "
-        "to a serial run",
     )
     lint_p.add_argument(
         "--baseline",
@@ -1139,10 +1130,8 @@ def _cmd_lint(args: argparse.Namespace) -> int:
             print("no changed python files under the given paths")
             return 0
     try:
-        result = lint_paths(
-            paths, select=args.select, baseline=baseline, jobs=args.jobs
-        )
-    except ValueError as exc:  # unknown --select rule id or family
+        result = lint_paths(paths, select=args.select, baseline=baseline)
+    except ValueError as exc:  # unknown or empty --select
         raise SystemExit(str(exc))
     if args.write_baseline:
         new_baseline = Baseline.from_findings(result.findings)

@@ -268,7 +268,7 @@ def fig6_migration_times(
     checks = {
         "6ab request migrates the most": end_a["request"] == max(end_a.values()),
         # Exact zero is the claim: counts are integral-valued floats.
-        "6ab random never migrates": end_a["random"] == 0.0,  # repro: noqa[REP004]
+        "6ab random never migrates": end_a["random"] == 0.0,
         "6ab owner migrations near zero": end_a["owner"] <= 5.0,
         "6ab rfh migrates less than request": end_a["rfh"] < end_a["request"],
         "6cd request migrates the most under flash": end_b["request"] == max(end_b.values()),
@@ -311,8 +311,8 @@ def fig7_migration_cost(
     checks = {
         "7ab request pays the most": end_a["request"] == max(end_a.values()),
         # Exact zero is the claim: these policies never replicate.
-        "7ab random pays zero": end_a["random"] == 0.0,  # repro: noqa[REP004]
-        "7ab owner pays zero": end_a["owner"] == 0.0,  # repro: noqa[REP004]
+        "7ab random pays zero": end_a["random"] == 0.0,
+        "7ab owner pays zero": end_a["owner"] == 0.0,
         "7ab rfh pays less than request": end_a["rfh"] < end_a["request"],
         "7cd flash costlier than random query": end_b["request"] > end_a["request"],
         "7cd rfh below request under flash": end_b["rfh"] < end_b["request"],
@@ -431,11 +431,11 @@ def fig10_failure_recovery(
         "10 replica count grows initially": pre > 1.5 * start,
         "10 sharp drop at the failure epoch": drop < 0.85 * pre,
         # Server counts are exact integers stored as floats.
-        "10 servers actually removed": float(alive[failure_epoch]) == float(  # repro: noqa[REP004]
+        "10 servers actually removed": float(alive[failure_epoch]) == float(
             alive[failure_epoch - 1]
         ) - failure_count,
         "10 recovery to near pre-failure level": final >= 0.85 * pre,
-        "10 no partition stays lost": float(result.series("lost_partitions")[-1]) == 0.0,  # repro: noqa[REP004]
+        "10 no partition stays lost": float(result.series("lost_partitions")[-1]) == 0.0,
     }
     notes = {
         "10 pre-failure replicas": pre,

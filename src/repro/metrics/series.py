@@ -26,7 +26,7 @@ class Series:
         value = float(value)
         # ``x - x`` is 0.0 exactly for every finite float and NaN for
         # NaN/±inf — a pure-Python finiteness test, hot-path cheap.
-        if value - value != 0.0:  # repro: noqa[REP004]
+        if value - value != 0.0:
             raise SimulationError(
                 f"series {self.name!r}: refusing non-finite value {value}"
             )

@@ -240,8 +240,8 @@ class ColumnDiff:
         base = self.base[stat]
         # Exact-zero baseline is the degenerate case (relative delta is
         # undefined); a tolerance would misclassify tiny real baselines.
-        if base == 0.0:  # repro: noqa[REP004]
-            return math.inf if self.delta(stat) != 0.0 else 0.0  # repro: noqa[REP004]
+        if base == 0.0:
+            return math.inf if self.delta(stat) != 0.0 else 0.0
         return self.delta(stat) / abs(base)
 
     def to_dict(self) -> dict[str, object]:

@@ -82,7 +82,7 @@ class RouterTables:
             (self.path[:, :, 0] == np.arange(num_dcs)[:, None]).all()
         )
         self.level0_stats_free = bool(
-            (self.km[:, :, 0] == 0.0).all()  # repro: noqa[REP004]
+            (self.km[:, :, 0] == 0.0).all()
         ) and not bool(self.miss[:, :, 0].any())
         # (origin, holder_dc) -> route_row() result, filled on demand.
         self._route_rows: dict[

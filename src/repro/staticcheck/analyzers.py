@@ -1,92 +1,49 @@
 """Analyzer registry and ``--select`` expansion.
 
-The platform has two kinds of analyzer:
+Each rule family is one AST pass per file
+(:func:`repro.staticcheck.rules.check_module` for REP0xx,
+:func:`repro.staticcheck.rules_numeric.check_numeric` for REP1xx).  The
+driver parses each file once and hands the tree to every family whose
+rules are selected.
 
-* **file analyzers** — one AST pass per family per file
-  (:func:`repro.staticcheck.rules.check_module` for REP0xx,
-  :mod:`.rules_numeric` for REP1xx, :mod:`.rules_concurrency` for
-  REP2xx).  The driver parses each file once and hands the tree to
-  every family whose rules are selected;
-* the **project pass** (:mod:`.project`) — the AUD auditors, which read
-  multiple files and therefore run once per invocation, not per file.
-
-``--select`` accepts exact rule ids and family prefixes, comma- or
-space-separated: ``--select REP1,REP2,AUD`` expands to every rule in
-those families.  Unknown tokens raise so a typo cannot silently lint
+``--select`` accepts exact rule ids and family prefixes, comma-separated
+and repeatable: ``--select REP1`` expands to every rule in that family.
+A token that is neither raises, and so does a selection that expands to
+no rule, so neither a typo nor an empty ``--select`` can silently lint
 nothing.
 """
 
 from __future__ import annotations
 
 import ast
-from collections.abc import Callable, Iterable
-from dataclasses import dataclass
+from collections.abc import Iterable
 
-from .findings import ALL_RULE_IDS, DEFAULT_RULE_IDS, Finding, rule_family
+from .findings import ALL_RULE_IDS, Finding
 from .rules import check_module
-from .rules_concurrency import check_concurrency
 from .rules_numeric import check_numeric
 
-__all__ = [
-    "AUDIT_RULE_IDS",
-    "FILE_ANALYZERS",
-    "FileAnalyzer",
-    "expand_select",
-    "run_file_analyzers",
-]
-
-
-@dataclass(frozen=True)
-class FileAnalyzer:
-    """One per-file AST pass: the rules it implements and its entry."""
-
-    name: str
-    family: str
-    rule_ids: frozenset[str]
-    check: Callable[[str, str, ast.Module], list[Finding]]
+__all__ = ["expand_select", "run_file_analyzers"]
 
 
 def _family_ids(prefix: str) -> frozenset[str]:
-    return frozenset(r for r in ALL_RULE_IDS if rule_family(r) == prefix)
+    return frozenset(r for r in ALL_RULE_IDS if r.startswith(prefix))
 
 
-FILE_ANALYZERS: tuple[FileAnalyzer, ...] = (
-    FileAnalyzer(
-        name="determinism",
-        family="REP0",
-        rule_ids=_family_ids("REP0"),
-        check=lambda path, source, tree: check_module(path, source, tree),
-    ),
-    FileAnalyzer(
-        name="numeric-purity",
-        family="REP1",
-        rule_ids=_family_ids("REP1"),
-        check=lambda path, source, tree: check_numeric(path, source, tree),
-    ),
-    FileAnalyzer(
-        name="concurrency",
-        family="REP2",
-        rule_ids=_family_ids("REP2"),
-        check=lambda path, source, tree: check_concurrency(path, source, tree),
-    ),
-)
+#: Each family's per-file AST pass, keyed by its id prefix.
+_FILE_ANALYZERS = {"REP0": check_module, "REP1": check_numeric}
 
-#: Rule ids implemented by the project pass rather than a file analyzer.
-AUDIT_RULE_IDS: frozenset[str] = _family_ids("AUD")
-
-_FAMILY_PREFIXES = ("AUD", "REP0", "REP1", "REP2", "REP")
+_FAMILY_PREFIXES = (*_FILE_ANALYZERS, "REP")
 
 
 def expand_select(select: Iterable[str] | None) -> frozenset[str]:
     """Expand rule ids and family prefixes into a concrete rule-id set.
 
-    ``None``/empty selects the default set (every REP rule; the AUD
-    project pass is opt-in).  Tokens may be comma-separated.  Raises
+    ``None`` selects every rule.  Tokens may be comma-separated.  Raises
     :class:`ValueError` on anything that is neither a rule id nor a
-    family prefix.
+    family prefix, and when the tokens expand to no rule at all.
     """
-    if not select:
-        return frozenset(DEFAULT_RULE_IDS)
+    if select is None:
+        return frozenset(ALL_RULE_IDS)
     out: set[str] = set()
     unknown: list[str] = []
     for raw in select:
@@ -97,16 +54,18 @@ def expand_select(select: Iterable[str] | None) -> frozenset[str]:
             if token in ALL_RULE_IDS:
                 out.add(token)
             elif token in _FAMILY_PREFIXES:
-                out.update(
-                    r for r in ALL_RULE_IDS
-                    if r.startswith(token)
-                )
+                out.update(_family_ids(token))
             else:
                 unknown.append(token)
-    if unknown:
+    if unknown or not out:
+        problem = (
+            f"unknown rule ids or families: {sorted(set(unknown))}"
+            if unknown
+            else "the selection names no rule"
+        )
         raise ValueError(
-            f"unknown rule ids or families: {sorted(set(unknown))}; "
-            f"rules: {list(ALL_RULE_IDS)}; families: {list(_FAMILY_PREFIXES)}"
+            f"{problem}; rules: {list(ALL_RULE_IDS)}; "
+            f"families: {list(_FAMILY_PREFIXES)}"
         )
     return frozenset(out)
 
@@ -119,12 +78,16 @@ def run_file_analyzers(
     Returns raw findings in (line, col, rule) order; raises SyntaxError
     on a parse failure.
     """
-    analyzers = [a for a in FILE_ANALYZERS if a.rule_ids & select]
-    if not analyzers:
+    checks = [
+        check
+        for prefix, check in _FILE_ANALYZERS.items()
+        if any(rule_id.startswith(prefix) for rule_id in select)
+    ]
+    if not checks:
         return []
     tree = ast.parse(source, filename=path)
     findings: list[Finding] = []
-    for analyzer in analyzers:
-        findings.extend(analyzer.check(path, source, tree))
+    for check in checks:
+        findings.extend(check(path, source, tree))
     findings.sort(key=lambda f: (f.line, f.col, f.rule_id))
     return findings

@@ -1,12 +1,10 @@
-"""The lint driver: discovery, dispatch, noqa, baseline, project pass.
+"""The lint driver: discovery, dispatch, noqa and baseline.
 
 Separated from the rule modules so the AST logic stays testable on
 source snippets while this module owns everything filesystem-shaped.
 The driver is itself deterministic: files are visited in sorted path
 order and findings are reported in (path, line, col, rule) order, so
-two runs over the same tree produce byte-identical reports — including
-under ``jobs > 1``, where per-file results are merged back in sorted
-path order regardless of completion order.
+two runs over the same tree produce byte-identical reports.
 """
 
 from __future__ import annotations
@@ -16,10 +14,9 @@ import subprocess
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
-from .analyzers import AUDIT_RULE_IDS, expand_select, run_file_analyzers
+from .analyzers import expand_select, run_file_analyzers
 from .baseline import Baseline
 from .findings import RULES, Finding
-from .project import find_project_root, run_project_audit
 
 __all__ = [
     "LintError",
@@ -142,7 +139,7 @@ def lint_source(
     SyntaxError on a parse failure (callers decide how to report it).
 
     ``select`` takes concrete rule ids (already expanded); ``None``
-    means the default set.
+    means every rule.
     """
     selected = select if select is not None else expand_select(None)
     raw = run_file_analyzers(path, source, selected)
@@ -175,64 +172,18 @@ def _display_path(path: Path) -> str:
         return path.as_posix()
 
 
-def _lint_file_job(
-    job: tuple[str, str, frozenset[str], Baseline | None],
-) -> tuple[str, list[Finding] | None, LintError | None]:
-    """Lint one file; the unit of work for both serial and parallel
-    drivers (top-level so it pickles into worker processes)."""
-    display, file_path, selected, baseline = job
+def _lint_file(
+    display: str, path: Path, selected: frozenset[str], baseline: Baseline | None
+) -> list[Finding] | LintError:
+    """Lint one file; a read or parse failure comes back as its error."""
     try:
-        source = Path(file_path).read_text(encoding="utf-8")
+        source = path.read_text(encoding="utf-8")
     except (OSError, UnicodeDecodeError) as exc:
-        return display, None, LintError(display, f"cannot read: {exc}")
+        return LintError(display, f"cannot read: {exc}")
     try:
-        findings = lint_source(
-            display, source, select=selected, baseline=baseline
-        )
+        return lint_source(display, source, select=selected, baseline=baseline)
     except SyntaxError as exc:
-        return display, None, LintError(
-            display, f"syntax error at line {exc.lineno}: {exc.msg}"
-        )
-    return display, findings, None
-
-
-def _project_findings(
-    paths: list[str | Path],
-    selected: frozenset[str],
-    baseline: Baseline | None,
-    project_root: Path | None,
-    result: LintResult,
-) -> None:
-    """Run the AUD project pass and fold its findings into ``result``."""
-    root = project_root or find_project_root(list(paths))
-    if root is None:
-        result.errors.append(
-            LintError(
-                "<project>",
-                "cannot locate a project root (pyproject.toml + tests/) "
-                "for the AUD auditors; lint from inside the repository "
-                "or drop AUD from --select",
-            )
-        )
-        return
-    raw = run_project_audit(root, selected & AUDIT_RULE_IDS)
-    noqa_cache: dict[str, dict[int, frozenset[str] | None]] = {}
-    for finding in raw:
-        if _rule_exempt(finding.rule_id, Path(finding.path).as_posix()):
-            continue
-        original = finding.path
-        if original not in noqa_cache:
-            try:
-                noqa_cache[original] = _noqa_rules_by_line(
-                    Path(original).read_text(encoding="utf-8")
-                )
-            except (OSError, UnicodeDecodeError):
-                noqa_cache[original] = {}
-        display = _display_path(Path(original))
-        finding = replace(finding, path=display)
-        result.findings.extend(
-            _apply_flags([finding], noqa_cache[original], baseline)
-        )
+        return LintError(display, f"syntax error at line {exc.lineno}: {exc.msg}")
 
 
 def lint_paths(
@@ -240,42 +191,22 @@ def lint_paths(
     *,
     select: list[str] | None = None,
     baseline: Baseline | None = None,
-    jobs: int | None = None,
-    project_root: Path | None = None,
 ) -> LintResult:
     """Lint files and directories; the package's main entry point.
 
-    ``select`` takes rule ids and family prefixes (``REP1``, ``AUD``,
-    comma-separable); the default is every REP rule.  Selecting any AUD
-    rule additionally runs the project pass against the enclosing
-    repository root (or ``project_root``).  ``baseline`` marks
-    grandfathered findings so they do not gate.  ``jobs`` > 1 lints
-    files in a process pool; results are merged in sorted path order so
-    output is identical to a serial run.
+    ``select`` takes rule ids and family prefixes (``REP0``, ``REP1``,
+    comma-separable); the default is every rule.  ``baseline`` marks
+    grandfathered findings so they do not gate.
     """
     selected = expand_select(select)
     result = LintResult()
-    jobs_list = [
-        (_display_path(p), str(p), selected, baseline) for p in _discover(paths)
-    ]
-    if jobs is not None and jobs != 1 and len(jobs_list) > 1:
-        from concurrent.futures import ProcessPoolExecutor
-
-        max_workers = jobs if jobs > 0 else None
-        with ProcessPoolExecutor(max_workers=max_workers) as pool:
-            outcomes = list(pool.map(_lint_file_job, jobs_list))
-        outcomes.sort(key=lambda item: item[0])
-    else:
-        outcomes = [_lint_file_job(job) for job in jobs_list]
-    for _display, findings, error in outcomes:
-        if error is not None:
-            result.errors.append(error)
+    for path in _discover(paths):
+        outcome = _lint_file(_display_path(path), path, selected, baseline)
+        if isinstance(outcome, LintError):
+            result.errors.append(outcome)
             continue
-        assert findings is not None
-        result.findings.extend(findings)
+        result.findings.extend(outcome)
         result.files_checked += 1
-    if selected & AUDIT_RULE_IDS:
-        _project_findings(paths, selected, baseline, project_root, result)
     if baseline is not None:
         for entry in baseline.entries:
             entry_path = str(entry.get("path", ""))

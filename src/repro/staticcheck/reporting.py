@@ -14,7 +14,7 @@ import json
 from .engine import LintResult
 from .findings import RULES
 
-__all__ = ["render_text", "render_json", "render_github", "RENDERERS"]
+__all__ = ["render_text", "render_json", "render_github"]
 
 
 def render_text(result: LintResult, *, verbose: bool = False) -> str:
@@ -100,10 +100,3 @@ def render_github(result: LintResult) -> str:
         f"{len(result.active)} finding(s) in {result.files_checked} file(s)"
     )
     return "\n".join(lines)
-
-
-RENDERERS = {
-    "text": render_text,
-    "json": render_json,
-    "github": render_github,
-}

@@ -1,4 +1,5 @@
-"""AST implementations of the determinism rules REP001–REP006.
+"""AST implementations of the determinism rules REP001, REP002, REP003
+and REP006.
 
 One :class:`DeterminismVisitor` pass per file implements every rule.
 The visitor keeps three kinds of state:
@@ -79,12 +80,6 @@ _SET_ANNOTATIONS = frozenset(
     {"set", "frozenset", "Set", "FrozenSet", "AbstractSet", "MutableSet"}
 )
 
-# --- REP005 tables --------------------------------------------------------
-_MUTABLE_FACTORIES = frozenset(
-    {"list", "dict", "set", "defaultdict", "OrderedDict", "Counter", "deque",
-     "bytearray"}
-)
-
 # --- REP006 tables --------------------------------------------------------
 _RNG_TREE_METHODS = frozenset({"stream", "fresh", "child"})
 
@@ -96,28 +91,6 @@ def _last_name(node: ast.expr) -> str | None:
     if isinstance(node, ast.Attribute):
         return node.attr
     return None
-
-
-def _is_float_literal(node: ast.expr) -> bool:
-    if isinstance(node, ast.Constant) and isinstance(node.value, float):
-        return True
-    if isinstance(node, ast.UnaryOp) and isinstance(node.op, (ast.USub, ast.UAdd)):
-        return _is_float_literal(node.operand)
-    return False
-
-
-def _is_floatish(node: ast.expr) -> bool:
-    """Heuristically float-valued: a float literal, a division, an
-    expression containing a float literal, or a ``float(...)`` call."""
-    if _is_float_literal(node):
-        return True
-    if isinstance(node, ast.BinOp):
-        if isinstance(node.op, ast.Div):
-            return True
-        return _is_floatish(node.left) or _is_floatish(node.right)
-    if isinstance(node, ast.Call) and isinstance(node.func, ast.Name):
-        return node.func.id == "float"
-    return False
 
 
 def _is_int_literal(node: ast.expr) -> bool:
@@ -237,7 +210,7 @@ class DeterminismVisitor(ast.NodeVisitor):
                 self._datetime_classes.add(bound)
 
     # ------------------------------------------------------------------
-    # Scope handling (REP003 inference + REP005 defaults)
+    # Scope handling (REP003 inference)
     # ------------------------------------------------------------------
     def _push_scope(self) -> None:
         self._scopes.append({})
@@ -255,7 +228,6 @@ class DeterminismVisitor(ast.NodeVisitor):
         return None
 
     def _visit_function(self, node: ast.FunctionDef | ast.AsyncFunctionDef) -> None:
-        self._check_mutable_defaults(node)
         self._push_scope()
         args = node.args
         for arg in (
@@ -273,7 +245,6 @@ class DeterminismVisitor(ast.NodeVisitor):
     visit_AsyncFunctionDef = _visit_function
 
     def visit_Lambda(self, node: ast.Lambda) -> None:
-        self._check_mutable_defaults(node)
         self._push_scope()
         self.generic_visit(node)
         self._pop_scope()
@@ -292,34 +263,6 @@ class DeterminismVisitor(ast.NodeVisitor):
         if isinstance(node.target, ast.Name):
             self._bind(node.target.id, kind)
         self.generic_visit(node)
-
-    # ------------------------------------------------------------------
-    # REP005 — mutable defaults
-    # ------------------------------------------------------------------
-    def _check_mutable_defaults(
-        self, node: ast.FunctionDef | ast.AsyncFunctionDef | ast.Lambda
-    ) -> None:
-        defaults = [*node.args.defaults, *node.args.kw_defaults]
-        for default in defaults:
-            if default is None:
-                continue
-            mutable = isinstance(
-                default,
-                (ast.List, ast.Dict, ast.Set, ast.ListComp, ast.DictComp, ast.SetComp),
-            )
-            if (
-                not mutable
-                and isinstance(default, ast.Call)
-                and _last_name(default.func) in _MUTABLE_FACTORIES
-            ):
-                mutable = True
-            if mutable:
-                self._emit(
-                    default,
-                    "REP005",
-                    "mutable default argument is shared across calls; "
-                    "default to None and construct in the body",
-                )
 
     # ------------------------------------------------------------------
     # REP003 — set-typed expression classification
@@ -441,24 +384,6 @@ class DeterminismVisitor(ast.NodeVisitor):
     visit_GeneratorExp = _check_comprehension
     visit_SetComp = _check_comprehension
     visit_DictComp = _check_comprehension
-
-    # ------------------------------------------------------------------
-    # REP004 — float equality
-    # ------------------------------------------------------------------
-    def visit_Compare(self, node: ast.Compare) -> None:
-        operands = [node.left, *node.comparators]
-        for op, left, right in zip(node.ops, operands, operands[1:]):
-            if isinstance(op, (ast.Eq, ast.NotEq)) and (
-                _is_floatish(left) or _is_floatish(right)
-            ):
-                self._emit(
-                    node,
-                    "REP004",
-                    "exact float ==/!= comparison; use a tolerance "
-                    "(math.isclose) or suppress if exactness is intended",
-                )
-                break
-        self.generic_visit(node)
 
     # ------------------------------------------------------------------
     # Calls: REP001/REP002 dispatch, REP003 sinks, REP006

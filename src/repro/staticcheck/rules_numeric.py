@@ -1,12 +1,10 @@
-"""AST implementations of the numeric-kernel purity rules REP101–REP104.
+"""AST implementations of the numeric-kernel purity rules REP101 and REP102.
 
 These rules are scoped (via :attr:`Rule.scope_paths`) to kernel
-directories — ``sim/columnar/`` today — because they enforce the
-columnar engine's house style, not general Python hygiene: every dtype
-transition explicit (REP101), every reduction over a deterministically
-ordered sequence (REP102), no hidden copies on the per-epoch hot path
-(REP103), no interpreter-level loops over arrays unless the boxing is
-made visible with ``.tolist()`` (REP104).
+directories — ``sim/columnar/`` today — because they guard the
+columnar engine's bit-identity with the scalar one, not general Python
+hygiene: every dtype transition explicit (REP101), every reduction over
+a deterministically ordered sequence (REP102).
 
 The dtype inference is per-file and deliberately shallow: names and
 ``self.*`` attributes assigned from numpy constructors with a known
@@ -43,11 +41,6 @@ _LIKE_CTORS = frozenset({"zeros_like", "ones_like", "empty_like", "full_like"})
 #: numpy reductions whose implicit upcast REP101 polices on bool input.
 _SUM_REDUCTIONS = frozenset({"sum", "dot"})
 
-#: In-loop concatenation calls REP103 flags (quadratic reallocation).
-_CONCAT_CALLS = frozenset(
-    {"concatenate", "hstack", "vstack", "column_stack", "stack"}
-)
-
 #: Kinds that mean "definitely an ndarray of this dtype family".
 _ARRAY_KINDS = frozenset({"int", "float", "bool", "array"})
 
@@ -80,7 +73,7 @@ class _Scope:
 
 
 class NumericVisitor(ast.NodeVisitor):
-    """Single-pass checker for REP101–REP104 (raw findings)."""
+    """Single-pass checker for REP101 and REP102 (raw findings)."""
 
     def __init__(self, path: str, source_lines: list[str]) -> None:
         self.path = path
@@ -90,7 +83,6 @@ class NumericVisitor(ast.NodeVisitor):
         self._scopes: list[_Scope] = [_Scope({})]
         #: ``self.<attr>`` → kind, collected file-wide in a pre-pass.
         self._attr_kinds: dict[str, str | None] = {}
-        self._loop_depth = 0
         self._occurrences: dict[tuple[str, str], int] = {}
 
     # ------------------------------------------------------------------
@@ -179,7 +171,12 @@ class NumericVisitor(ast.NodeVisitor):
         for target in node.targets:
             if isinstance(target, ast.Name):
                 self._bind(target.id, kind)
-        self._check_chained_subscript_assign(node)
+        self.generic_visit(node)
+
+    def visit_For(self, node: ast.For) -> None:
+        # the loop target shadows whatever array the name held before
+        if isinstance(node.target, ast.Name):
+            self._bind(node.target.id, None)
         self.generic_visit(node)
 
     # ------------------------------------------------------------------
@@ -316,7 +313,6 @@ class NumericVisitor(ast.NodeVisitor):
                 ".sum() on a bool array upcasts implicitly",
             )
         self._check_rep102_call(node)
-        self._check_rep103_call(node)
         self.generic_visit(node)
 
     # ------------------------------------------------------------------
@@ -356,64 +352,6 @@ class NumericVisitor(ast.NodeVisitor):
                     "accumulation order changes the result bits",
                 )
                 return
-
-    # ------------------------------------------------------------------
-    # REP103 — hidden copies
-    # ------------------------------------------------------------------
-    def _check_rep103_call(self, node: ast.Call) -> None:
-        func = node.func
-        name = _last_name(func)
-        if name == "flatten" and isinstance(func, ast.Attribute) and not node.args:
-            self._emit(
-                node, "REP103",
-                ".flatten() always copies",
-            )
-            return
-        if not (isinstance(func, ast.Attribute) and self._is_numpy(func.value)):
-            return
-        if name == "append":
-            self._emit(
-                node, "REP103",
-                "np.append reallocates and copies the whole array per call",
-            )
-        elif name in _CONCAT_CALLS and self._loop_depth > 0:
-            self._emit(
-                node, "REP103",
-                f"np.{name} inside a loop is quadratic copying",
-            )
-
-    def _check_chained_subscript_assign(self, node: ast.Assign) -> None:
-        for target in node.targets:
-            if (
-                isinstance(target, ast.Subscript)
-                and isinstance(target.value, ast.Subscript)
-                and self._classify(target.value.value) in _ARRAY_KINDS
-            ):
-                self._emit(
-                    target, "REP103",
-                    "chained-index assignment writes into the temporary a "
-                    "fancy first index copies out",
-                )
-
-    # ------------------------------------------------------------------
-    # REP104 — python loops over arrays
-    # ------------------------------------------------------------------
-    def visit_For(self, node: ast.For) -> None:
-        if self._classify(node.iter) in _ARRAY_KINDS:
-            self._emit(
-                node.iter, "REP104",
-                "python-level for loop iterates an ndarray element-wise",
-            )
-        if isinstance(node.target, ast.Name):
-            self._bind(node.target.id, None)
-        self._loop_depth += 1
-        self.generic_visit(node)
-        self._loop_depth -= 1
-
-    def visit_While(self, node: ast.While) -> None:
-        self._loop_depth += 1
-        self.generic_visit(node)
-        self._loop_depth -= 1
 
 
 def check_numeric(

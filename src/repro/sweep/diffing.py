@@ -112,8 +112,8 @@ def _judge(metric: str, stats_a: dict, stats_b: dict) -> tuple[str, float, float
     mean_a, mean_b = float(stats_a["mean"]), float(stats_b["mean"])
     # Exact equality intended: "identical" asserts a bit-identical
     # re-merge of the same cell set, not statistical closeness.
-    same_mean = mean_a == mean_b  # repro: noqa[REP004] - bit-identity check
-    same_sd = float(stats_a.get("stddev", 0)) == float(  # repro: noqa[REP004] - bit-identity check
+    same_mean = mean_a == mean_b  # bit-identity check
+    same_sd = float(stats_a.get("stddev", 0)) == float(  # bit-identity check
         stats_b.get("stddev", 0)
     )
     if same_mean and same_sd:

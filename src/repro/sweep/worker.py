@@ -235,7 +235,7 @@ def _maybe_inject_crash(cell: SweepCell, options: dict) -> None:
     if options.get("inject_mode", "raise") == "exit":
         # A hard exit that skips the worker's own finallys is the whole
         # point: it simulates a SIGKILL'd worker for the watchdog.
-        os._exit(3)  # repro: noqa[REP203]
+        os._exit(3)
     raise RuntimeError(f"injected crash in cell {cell.cell_id}")
 
 

@@ -72,7 +72,7 @@ def _concentrated(num_origins: int, hot: tuple[int, ...], share: float) -> np.nd
         for dc in range(num_origins):
             # Exact zero means "not a hot DC" (assigned above), a
             # sentinel, not a computed value.
-            if weights[dc] == 0.0:  # repro: noqa[REP004]
+            if weights[dc] == 0.0:
                 weights[dc] = remainder
     else:
         weights /= weights.sum()

@@ -64,8 +64,7 @@ SIZES = (
 )
 
 #: Every Simulation hook ColumnarSimulation overrides.  This tuple is
-#: the differential suite's coverage contract: the AUD001 lint auditor
-#: statically requires each override to appear here, and
+#: the differential suite's coverage contract:
 #: test_differential_hooks_match_overrides below asserts (by
 #: reflection) that the tuple matches the real override set — so a new
 #: override cannot ship without landing in this list, and a stale entry

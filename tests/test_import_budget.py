@@ -38,7 +38,6 @@ ALLOWED_TOP_LEVEL = ("numpy", "repro")
 #: Tool-only modules that must not be loaded by importing :data:`RUN_PATH`.
 FORBIDDEN = (
     "repro.staticcheck.engine",
-    "repro.staticcheck.project",
     "repro.obs.timeseries.dashboard",
     "repro.obs.timeseries.diff",
     "repro.obs.provenance.explain",

@@ -920,12 +920,22 @@ class TestReasons:
         assert set(CAUSE_WEIGHTS) <= set(reasons.ATTRIBUTION_CAUSES)
 
     def test_policies_emit_only_known_reasons(self):
+        """Every action reason and skip cause that any policy's run
+        emits, on both engines and under failures plus a WAN partition,
+        comes from the shared vocabulary."""
         tracer = RingBufferTracer()
-        for policy in POLICIES:
-            run_experiment(policy, _scenario(epochs=8), tracer=tracer)
+        for engine in ("scalar", "columnar"):
+            for scenario in (_scenario(epochs=8), _chaos_scenario()):
+                for policy in POLICIES:
+                    run_experiment(policy, scenario, tracer=tracer, engine=engine)
+        assert tracer.dropped == 0
+        events = tracer.events()
         seen = {
             e.reason
-            for e in tracer.events()
+            for e in events
             if e.kind in ("replicate", "migrate", "suicide")
         }
         assert seen <= set(reasons.ACTION_REASONS) | {""}
+        causes = [e.extra["cause"] for e in events if e.kind == "action_skipped"]
+        assert causes, "the chaos scenario refused no action"
+        assert set(causes) <= set(reasons.SKIP_CAUSES)

@@ -220,59 +220,6 @@ class TestREP003SetIteration:
         assert rule_lines(src, "REP003") == []
 
 
-class TestREP004FloatEquality:
-    def test_float_literal_eq(self):
-        src = """\
-        def f(x):
-            return x == 0.5
-        """
-        assert rule_lines(src, "REP004") == [2]
-
-    def test_float_call_ne(self):
-        src = """\
-        def f(x, y):
-            return float(x) != y
-        """
-        assert rule_lines(src, "REP004") == [2]
-
-    def test_int_eq_is_fine(self):
-        src = """\
-        def f(x):
-            return x == 3
-        """
-        assert rule_lines(src, "REP004") == []
-
-
-class TestREP005MutableDefault:
-    def test_list_default(self):
-        src = """\
-        def f(items=[]):
-            return items
-        """
-        assert rule_lines(src, "REP005") == [1]
-
-    def test_factory_call_default(self):
-        src = """\
-        def f(seen=set()):
-            return seen
-        """
-        assert rule_lines(src, "REP005") == [1]
-
-    def test_kwonly_dict_default(self):
-        src = """\
-        def f(*, cache={}):
-            return cache
-        """
-        assert rule_lines(src, "REP005") == [1]
-
-    def test_none_default_is_fine(self):
-        src = """\
-        def f(items=None, n=3, name="x"):
-            return items
-        """
-        assert rule_lines(src, "REP005") == []
-
-
 class TestREP006StreamNames:
     def test_variable_stream_name(self):
         src = """\
@@ -310,13 +257,16 @@ class TestSuppression:
     def test_scoped_noqa_suppresses_only_named_rule(self):
         src = """\
         import random
+        import time
 
-        def f(x=[]):  # repro: noqa[REP005]
-            return random.random() == 0.5  # repro: noqa[REP004]
+        def f():
+            t = time.time()  # repro: noqa[REP002]
+            return random.random() + t  # repro: noqa[REP002]
         """
         findings = check(src)
         active = [f.rule_id for f in findings if f.active]
         assert active == ["REP001"]
+        assert [f.rule_id for f in findings if f.suppressed] == ["REP002"]
 
     def test_wrong_rule_id_does_not_suppress(self):
         src = """\
@@ -400,14 +350,16 @@ class TestDriverAndRendering:
 
     def test_select_restricts_rules(self, tmp_path):
         (tmp_path / "m.py").write_text(
-            "import random\nx = random.random()\ny = 1.0 == x\n"
+            "import random\nimport time\nx = random.random()\ny = time.time()\n"
         )
-        result = lint_paths([tmp_path], select=["REP004"])
-        assert result.counts_by_rule() == {"REP004": 1}
+        result = lint_paths([tmp_path], select=["REP002"])
+        assert result.counts_by_rule() == {"REP002": 1}
 
     def test_unknown_select_raises(self, tmp_path):
-        with pytest.raises(ValueError):
-            lint_paths([tmp_path], select=["REP999"])
+        # An empty selection would lint nothing and pass; it raises too.
+        for select in (["REP999"], [""], [","]):
+            with pytest.raises(ValueError):
+                lint_paths([tmp_path], select=select)
 
     def test_text_render_has_location_and_summary(self, tmp_path):
         (tmp_path / "m.py").write_text("import random\nx = random.random()\n")
@@ -429,10 +381,7 @@ class TestDriverAndRendering:
 
     def test_rule_registry_is_complete(self):
         assert set(ALL_RULE_IDS) == {
-            "REP001", "REP002", "REP003", "REP004", "REP005", "REP006",
-            "REP101", "REP102", "REP103", "REP104",
-            "REP201", "REP202", "REP203", "REP204", "REP205",
-            "AUD001", "AUD002", "AUD003",
+            "REP001", "REP002", "REP003", "REP006", "REP101", "REP102",
         }
         for rule in RULES.values():
             assert rule.summary and rule.rationale
@@ -441,15 +390,8 @@ class TestDriverAndRendering:
 class TestDogfood:
     def test_repro_source_tree_is_clean(self):
         """The committed tree must gate at zero active findings with the
-        default selection (every per-file REP rule)."""
+        default selection (every rule)."""
         result = lint_paths([REPO_SRC])
-        assert result.errors == []
-        active = [f.location() + " " + f.rule_id for f in result.active]
-        assert active == []
-
-    def test_repro_source_tree_is_clean_with_auditors(self):
-        """All three families plus the AUD project pass gate at zero."""
-        result = lint_paths([REPO_SRC], select=["REP", "AUD"])
         assert result.errors == []
         active = [f.location() + " " + f.rule_id for f in result.active]
         assert active == []

@@ -8,6 +8,7 @@ from __future__ import annotations
 import copy
 import io
 import json
+import multiprocessing
 import os
 import time
 
@@ -18,6 +19,7 @@ from repro.experiments.runner import run_experiment
 from repro.obs.fleet import FleetProgress
 from repro.obs.fleet.dashboard import render_fleet_dashboard
 from repro.obs.fleet.events import (
+    CELL_FINISHED,
     cell_failed,
     cell_finished,
     cell_started,
@@ -263,6 +265,23 @@ class TestRunSweep:
         # either by the in-flight watchdog ("exit code N") or by the
         # lost-cell pass ("no live workers") — both name the cell.
         assert failure["cell_id"] == "rfh-random-s2-paper-scalar"
+
+    def test_orchestrator_error_still_reaps_every_worker(self, tmp_path):
+        """An exception mid-orchestration (here the progress callback)
+        propagates, and the teardown in ``_run_parallel``'s finally
+        still joins both workers instead of leaving them running."""
+
+        class BrokenProgress(FleetProgress):
+            def handle(self, event):
+                if event.get("kind") == CELL_FINISHED:
+                    raise RuntimeError("progress callback failed")
+                super().handle(event)
+
+        m = small_manifest()
+        progress = BrokenProgress(m.num_cells, stream=io.StringIO(), live=False)
+        with pytest.raises(RuntimeError, match="progress callback failed"):
+            run_sweep(m, tmp_path, max_workers=2, progress=progress)
+        assert multiprocessing.active_children() == []
 
     def test_resume_skips_completed_and_reruns_failed(self, tmp_path):
         m = small_manifest()
