@@ -13,8 +13,8 @@ epoch boundary:
   pointer, the holder is alive, and it actually holds a copy; at epoch
   end (post-restore) every partition has at least one copy;
 * **replica-matrix** — the per-server counts, per-partition totals,
-  per-DC grouping cache and the global total all describe the same
-  multiset (guards the ``ReplicaMap`` cache-invalidation paths);
+  per-DC grouping and the global total all describe the same multiset
+  (guards the ``ReplicaMap`` layout updates);
 * **storage-accounting** — every alive server's storage equals its
   copies × partition size, usage is within ``[0, capacity]``, and the
   per-DC sums add up to the global ``total_replicas × size``.
@@ -233,7 +233,7 @@ class InvariantChecker:
                         InvariantViolation(
                             "replica-matrix",
                             epoch,
-                            f"dc cache files server under dc {dc} but it lives "
+                            f"dc grouping files server under dc {dc} but it lives "
                             f"in dc {cluster.dc_of(sid)}",
                             partition=partition,
                             server=sid,
@@ -244,7 +244,7 @@ class InvariantChecker:
                 InvariantViolation(
                     "replica-matrix",
                     epoch,
-                    f"dc grouping cache {sorted(flat)} disagrees with "
+                    f"dc grouping {sorted(flat)} disagrees with "
                     f"servers_with {sorted(entries)}",
                     partition=partition,
                 )

@@ -16,16 +16,44 @@ stores ``partition_size_mb`` on the target server, removing releases it.
 
 from __future__ import annotations
 
-from collections import defaultdict
+from bisect import bisect_left
+from itertools import chain
+from operator import itemgetter
 
 from ..errors import ActionError, SimulationError
 from .cluster import Cluster
 
 __all__ = ["ReplicaMap"]
 
+#: One partition's copies: ``(sid, count)`` pairs sorted by sid.
+Layout = tuple[tuple[int, int], ...]
+
+_COUNT = itemgetter(1)
+
+
+def _find(layout: Layout, sid: int) -> tuple[int, int]:
+    """``(position, count)`` of ``sid`` in ``layout``: its pair's index and
+    copies, or the index its pair would take and 0.
+
+    ``(sid,)`` sorts before every ``(sid, count)`` and after every pair
+    of a smaller sid, so :func:`bisect_left` lands on ``sid``'s pair.
+    """
+    i = bisect_left(layout, (sid,))
+    if i < len(layout) and layout[i][0] == sid:
+        return i, layout[i][1]
+    return i, 0
+
 
 class ReplicaMap:
     """Per-partition replica multiset with storage side-effects.
+
+    Each partition's layout is one tuple of ``(sid, count)`` pairs sorted
+    by sid, replaced (never edited) on every mutation: a new tuple is the
+    old one with one pair inserted, replaced or cut out at its
+    :func:`bisect` position.  A pair with count 1 is the one ``(sid, 1)``
+    tuple this map keeps per server, so the common single copy costs a
+    pointer.  :meth:`servers_with` returns the layout itself, and
+    :meth:`replicas_by_dc` groups it on each call.
 
     Parameters
     ----------
@@ -45,10 +73,10 @@ class ReplicaMap:
         self._cluster = cluster
         self._num_partitions = num_partitions
         self._size_mb = float(partition_size_mb)
-        self._counts: list[dict[int, int]] = [dict() for _ in range(num_partitions)]
+        self._layout: list[Layout] = [()] * num_partitions
         self._holder: list[int | None] = [None] * num_partitions
-        # Lazily-built per-partition grouping {dc: [(sid, count), ...]}.
-        self._dc_cache: list[dict[int, list[tuple[int, int]]] | None] = [None] * num_partitions
+        # _ones[sid] is the shared (sid, 1) pair, grown as sids appear.
+        self._ones: list[tuple[int, int]] = []
         # Optional columnar mirror (repro.sim.columnar.state.SimState):
         # notified on every count/holder mutation so the mirror's replica
         # cells can track this map without O(P*S) rebuilds.
@@ -62,7 +90,8 @@ class ReplicaMap:
         and ``on_holder(partition, sid_or_none)`` on every mutation.
 
         The mirror is responsible for syncing itself to the current state
-        at attach time; only one mirror is supported."""
+        at attach time (see :meth:`holders_and_layouts`); only one mirror
+        is supported."""
         self._mirror = mirror
 
     # ------------------------------------------------------------------
@@ -114,48 +143,50 @@ class ReplicaMap:
     def count(self, partition: int, sid: int) -> int:
         """Copies of ``partition`` on server ``sid`` (``m_ik``)."""
         self._check_partition(partition)
-        return self._counts[partition].get(sid, 0)
+        return _find(self._layout[partition], sid)[1]
 
     def replica_count(self, partition: int) -> int:
         """Total copies of ``partition`` across all servers."""
         self._check_partition(partition)
-        return sum(self._counts[partition].values())
+        return sum(map(_COUNT, self._layout[partition]))
 
-    def servers_with(self, partition: int) -> tuple[tuple[int, int], ...]:
+    def servers_with(self, partition: int) -> Layout:
         """Sorted ``(sid, count)`` pairs of servers holding the partition."""
         self._check_partition(partition)
-        return tuple(sorted(self._counts[partition].items()))
+        return self._layout[partition]
 
     def replicas_by_dc(self, partition: int) -> dict[int, list[tuple[int, int]]]:
         """Replica layout grouped by datacenter: ``{dc: [(sid, count)]}``.
 
-        Cached until the partition's layout mutates; lists are sorted by
-        sid for determinism.  Callers must not mutate the returned
-        structure.
+        Grouped from the layout tuple on each call, so datacenters appear
+        in the order of their lowest sid and each list is sorted by sid.
         """
         self._check_partition(partition)
-        cache = self._dc_cache[partition]
-        if cache is None:
-            grouped: dict[int, list[tuple[int, int]]] = defaultdict(list)
-            for sid, count in sorted(self._counts[partition].items()):
-                grouped[self._cluster.dc_of(sid)].append((sid, count))
-            cache = dict(grouped)
-            self._dc_cache[partition] = cache
-        return cache
+        grouped: dict[int, list[tuple[int, int]]] = {}
+        for pair in self._layout[partition]:
+            grouped.setdefault(self._cluster.dc_of(pair[0]), []).append(pair)
+        return grouped
 
     def total_replicas(self) -> int:
         """Total copies across all partitions (Fig. 4's "replica number")."""
-        return sum(sum(c.values()) for c in self._counts)
+        return sum(map(_COUNT, chain.from_iterable(self._layout)))
 
     def per_partition_counts(self) -> list[int]:
         """Replica count per partition, index-aligned."""
-        return [sum(c.values()) for c in self._counts]
+        return [sum(map(_COUNT, layout)) for layout in self._layout]
 
     def partitions_on(self, sid: int) -> tuple[int, ...]:
         """Partitions with at least one copy on server ``sid``."""
         return tuple(
-            p for p in range(self._num_partitions) if self._counts[p].get(sid, 0) > 0
+            partition
+            for partition, layout in enumerate(self._layout)
+            if _find(layout, sid)[1] > 0
         )
+
+    def holders_and_layouts(self) -> tuple[tuple[int | None, ...], tuple[Layout, ...]]:
+        """Every partition's holder (``None`` for a fully-lost partition)
+        and layout tuple, index-aligned, for a mirror's attach-time sync."""
+        return tuple(self._holder), tuple(self._layout)
 
     # ------------------------------------------------------------------
     # Mutation
@@ -185,7 +216,8 @@ class ReplicaMap:
         paper performs voluntarily.
         """
         self._check_partition(partition)
-        current = self._counts[partition].get(sid, 0)
+        layout = self._layout[partition]
+        i, current = _find(layout, sid)
         if current <= 0:
             raise ActionError(f"no copy of partition {partition} on server {sid}")
         if self.replica_count(partition) <= 1:
@@ -196,15 +228,16 @@ class ReplicaMap:
         if server.alive:
             server.release(self._size_mb)
         if current == 1:
-            del self._counts[partition][sid]
+            layout = layout[:i] + layout[i + 1 :]
         else:
-            self._counts[partition][sid] = current - 1
-        self._dc_cache[partition] = None
+            layout = layout[:i] + (self._pair(sid, current - 1),) + layout[i + 1 :]
+        self._layout[partition] = layout
         if self._mirror is not None:
             self._mirror.on_count(partition, sid, current - 1)
-        # Keep the holder pointer on a server that still has a copy.
-        if self._holder[partition] == sid and self._counts[partition].get(sid, 0) == 0:
-            self._holder[partition] = min(self._counts[partition])
+        # Keep the holder pointer on a server that still has a copy: the
+        # first pair, the lowest surviving sid.
+        if self._holder[partition] == sid and current == 1:
+            self._holder[partition] = layout[0][0]
             if self._mirror is not None:
                 self._mirror.on_holder(partition, self._holder[partition])
 
@@ -218,8 +251,7 @@ class ReplicaMap:
 
     def set_holder(self, partition: int, sid: int) -> None:
         """Point the primary-holder role at ``sid`` (must hold a copy)."""
-        self._check_partition(partition)
-        if self._counts[partition].get(sid, 0) <= 0:
+        if self.count(partition, sid) <= 0:
             raise ActionError(
                 f"server {sid} holds no copy of partition {partition}; cannot be holder"
             )
@@ -240,17 +272,19 @@ class ReplicaMap:
         (the engine restores them, see Fig. 10 recovery).
         """
         affected: list[int] = []
-        for partition in range(self._num_partitions):
-            if self._counts[partition].pop(sid, 0) > 0:
-                affected.append(partition)
-                self._dc_cache[partition] = None
+        for partition, layout in enumerate(self._layout):
+            i, count = _find(layout, sid)
+            if count <= 0:
+                continue
+            layout = layout[:i] + layout[i + 1 :]
+            self._layout[partition] = layout
+            affected.append(partition)
+            if self._mirror is not None:
+                self._mirror.on_count(partition, sid, 0)
+            if self._holder[partition] == sid:
+                self._holder[partition] = layout[0][0] if layout else None
                 if self._mirror is not None:
-                    self._mirror.on_count(partition, sid, 0)
-                if self._holder[partition] == sid:
-                    survivors = self._counts[partition]
-                    self._holder[partition] = min(survivors) if survivors else None
-                    if self._mirror is not None:
-                        self._mirror.on_holder(partition, self._holder[partition])
+                    self._mirror.on_holder(partition, self._holder[partition])
         return tuple(affected)
 
     def restore(self, partition: int, sid: int) -> None:
@@ -268,12 +302,27 @@ class ReplicaMap:
     # ------------------------------------------------------------------
     # Internals
     # ------------------------------------------------------------------
+    def _pair(self, sid: int, count: int) -> tuple[int, int]:
+        """The ``(sid, count)`` pair, shared per server when count is 1."""
+        if count != 1:
+            return (sid, count)
+        ones = self._ones
+        if sid >= len(ones):
+            ones.extend((s, 1) for s in range(len(ones), sid + 1))
+        return ones[sid]
+
     def _add_count(self, partition: int, sid: int) -> None:
-        counts = self._counts[partition]
-        counts[sid] = counts.get(sid, 0) + 1
-        self._dc_cache[partition] = None
+        layout = self._layout[partition]
+        i, count = _find(layout, sid)
+        if count:
+            count += 1
+            layout = layout[:i] + ((sid, count),) + layout[i + 1 :]
+        else:
+            count = 1
+            layout = layout[:i] + (self._pair(sid, 1),) + layout[i:]
+        self._layout[partition] = layout
         if self._mirror is not None:
-            self._mirror.on_count(partition, sid, counts[sid])
+            self._mirror.on_count(partition, sid, count)
 
     def _check_partition(self, partition: int) -> None:
         if not 0 <= partition < self._num_partitions:

@@ -13,6 +13,8 @@ version counter and the equivalence suite).
 
 from __future__ import annotations
 
+from itertools import chain
+
 import numpy as np
 
 from ...cluster.replicas import ReplicaMap
@@ -120,24 +122,23 @@ class SimState:
 
     # ------------------------------------------------------------------
     def sync(self, replicas: ReplicaMap, num_servers: int) -> None:
-        """Full resync from the authoritative map (attach time)."""
+        """Full resync from the authoritative map (attach time): one pass
+        over its holders and ``(sid, count)`` layout tuples."""
         self._pending = {}
         self._num_servers = max(self._num_servers, num_servers)
-        width = self._num_servers
-        index: list[int] = []
-        count: list[int] = []
-        holders: list[int] = []
-        for partition in range(self._num_partitions):
-            # ``servers_with`` is sorted by sid, so the index ascends.
-            for sid, copies in replicas.servers_with(partition):
-                index.append(partition * width + sid)
-                count.append(copies)
-            holders.append(
-                replicas.holder(partition) if replicas.has_holder(partition) else -1
-            )
-        self.holder[:] = holders
+        holders, layouts = replicas.holders_and_layouts()
+        self.holder[:] = [-1 if sid is None else sid for sid in holders]
+        sizes = np.fromiter(map(len, layouts), dtype=np.int64, count=len(layouts))
+        # Flattened (sid, count, sid, count, ...) in partition order; each
+        # layout is sorted by sid, so the row-major index ascends.
+        pairs = np.fromiter(
+            chain.from_iterable(chain.from_iterable(layouts)),
+            dtype=np.int64,
+            count=2 * int(sizes.sum()),
+        ).reshape(-1, 2)
+        rows = np.repeat(np.arange(self._num_partitions, dtype=np.int64), sizes)
         self._set_cells(
-            np.array(index, dtype=np.int64), np.array(count, dtype=np.int32)
+            rows * self._num_servers + pairs[:, 0], pairs[:, 1].astype(np.int32)
         )
         self.version += 1
 

@@ -104,7 +104,9 @@ class TestCorruptedReplicaMap:
             for s in sim.cluster.alive_servers()
             if sim.replicas.count(partition, s.sid) == 0
         )
-        sim.replicas._counts[partition][stranger] = 1  # no store_mb happened
+        sim.replicas._layout[partition] = tuple(  # no store_mb happened
+            sorted(sim.replicas.servers_with(partition) + ((stranger, 1),))
+        )
         checker = InvariantChecker()
         violations = checker.collect(9, sim.cluster, sim.replicas)
         assert any(

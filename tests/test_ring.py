@@ -9,6 +9,7 @@ from repro.ring import (
     HASH_SPACE_SIZE,
     FingerTable,
     HashRing,
+    PartitionMapper,
     ring_distance,
     stable_hash,
 )
@@ -150,6 +151,34 @@ class TestPartitionMapper:
     def test_unknown_partition_rejected(self, mapper):
         with pytest.raises(RingError):
             mapper.key(64)
+
+    @pytest.mark.parametrize("members", [1, 3, 7, 100])
+    def test_holders_match_the_per_key_owner(self, members):
+        """The one-``searchsorted`` holder lookup equals the ring's
+        per-key successor lookup, keys past the last token included."""
+        ring = HashRing(tokens_per_server=1)
+        for sid in range(members):
+            ring.add_server(sid)
+        mapper = PartitionMapper(500, ring)
+        keys = [mapper.key(p) for p in range(500)]
+        assert keys == [stable_hash(f"partition:{p}") for p in range(500)]
+        assert all(type(key) is int for key in keys)
+        assert max(keys) > ring.tokens()[-1].position  # the lookup wraps
+        owners = [ring.owner(key) for key in keys]
+        assert mapper.holders() == owners
+        for sid in range(members):
+            assert mapper.partitions_held_by(sid) == tuple(
+                p for p, owner in enumerate(owners) if owner == sid
+            )
+
+    def test_holders_on_an_empty_ring_raise(self):
+        ring = HashRing()
+        ring.add_server(0)
+        mapper = PartitionMapper(4, ring)
+        ring.remove_server(0)
+        for lookup in (mapper.holders, lambda: mapper.partitions_held_by(0)):
+            with pytest.raises(RingError, match="^the ring is empty$"):
+                lookup()
 
 
 class TestFingerTable:
