@@ -4,6 +4,8 @@ Every JSON artifact the package reads goes through :func:`read_json`,
 which turns any failure to read, decode (UTF-8) or parse the file into
 the caller's typed error naming the file; the versioned formats then
 check their ``format``/``version`` envelope with :func:`check_header`.
+The provenance loader parses its file one member at a time and turns
+the same failures into its error through :func:`reading`.
 JSON has no NaN or Inf: :func:`nan_to_null` writes them as ``null`` and
 :func:`null_to_nan` reads ``null`` back as NaN.
 
@@ -45,10 +47,24 @@ __all__ = [
     "nan_to_null",
     "null_to_nan",
     "read_json",
+    "reading",
     "save_json",
     "save_text",
     "write_json",
 ]
+
+
+@contextlib.contextmanager
+def reading(
+    path: str | os.PathLike[str], error: type[Exception], what: str
+) -> Iterator[None]:
+    """Raise ``error``, with a message naming ``what`` and ``path``, for
+    a failure inside the block to read the file, decode it as UTF-8 or
+    parse it as JSON."""
+    try:
+        yield
+    except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
+        raise error(f"cannot read {what} {path}: {exc}") from exc
 
 
 def read_json(
@@ -59,11 +75,8 @@ def read_json(
     A file that cannot be read, is not UTF-8 or is not JSON raises
     ``error`` with a message naming ``what`` and ``path``.
     """
-    try:
-        with open(path, encoding="utf-8") as handle:
-            return json.load(handle)
-    except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
-        raise error(f"cannot read {what} {path}: {exc}") from exc
+    with reading(path, error, what), open(path, encoding="utf-8") as handle:
+        return json.load(handle)
 
 
 def check_header(

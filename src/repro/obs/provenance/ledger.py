@@ -3,11 +3,16 @@
 The recorder, the artifact and the ``.prov.json`` file share one
 representation.  A :class:`Ledger` holds v1's decisions table (8 int,
 5 string-id and 4 float columns), its predicates and candidates tables
-(each row keyed by its decision row, rows in decision order) and the
-string table the ids point into.  Every column is an ``array.array`` of
-the narrowest type that fits: ids and ints int32, ``passed`` int8,
-floats float64.  Recording appends rows and stamps fates in place;
-nothing is boxed per row.  A
+(rows in decision order) and the string table the ids point into.
+Every column is an ``array.array``: ints and string ids int16 until a
+value does not fit, ``passed`` int8, floats float64.  A child table
+stores no per-row ``decision`` column.  Instead the ledger keeps, per
+child table, one int32 offset per decision row plus the end, so decision
+row ``d``'s children are rows ``starts[d]:starts[d + 1]``.  Recording
+appends rows and stamps fates in place; nothing is boxed per row.  The
+first value an int16 column cannot hold (an ``OverflowError`` from an
+append or a fate stamp) removes the partial row, turns every int16
+column into int32 and repeats the write.  A
 :class:`~repro.obs.provenance.records.DecisionRecord` is built only when
 a reader asks a :class:`LedgerView` for one.
 
@@ -17,14 +22,16 @@ strings, then its predicates' ``eq`` and ``subject``, then its
 candidates' ``role``, ``verdict`` and ``cause``.
 :meth:`LedgerView.file_strings` derives that order from the columns, and
 :meth:`LedgerView.file_tables` yields every column in file order and in
-bounded chunks, with ids remapped and non-finite floats as ``None``.
+bounded chunks, with ids remapped, non-finite floats as ``None`` and each
+child table's ``decision`` column generated from its offsets.
 """
 
 from __future__ import annotations
 
 import bisect
 from array import array
-from collections.abc import Iterable, Iterator, Sequence
+from collections.abc import Callable, Iterable, Iterator, Sequence
+from typing import TypeVar
 
 import numpy as np
 
@@ -39,6 +46,7 @@ __all__ = [
     "Ledger",
     "LedgerView",
     "StringTable",
+    "narrow",
 ]
 
 DECISION_INTS = (
@@ -83,9 +91,19 @@ TABLES: dict[str, tuple[tuple[str, str], ...]] = {
     ),
 }
 
-#: ``array`` typecode and numpy dtype per column kind.
-_TYPECODES = {"int": "i", "str": "i", "row": "i", "float": "d", "flag": "b"}
-_DTYPES = {"i": np.int32, "d": np.float64, "b": np.int8}
+#: The tables whose rows belong to a decision row.
+CHILD_TABLES = ("predicates", "candidates")
+
+#: The columns a ledger stores: the file's, less the child ``decision``.
+_STORED = {
+    table: tuple((name, kind) for name, kind in spec if kind != "row")
+    for table, spec in TABLES.items()
+}
+
+#: ``array`` typecode per column kind (ints and ids widen from ``h`` to
+#: ``i``) and numpy dtype per typecode.
+_TYPECODES = {"int": "h", "str": "h", "float": "d", "flag": "b"}
+_DTYPES = {"h": np.int16, "i": np.int32, "d": np.float64, "b": np.int8}
 
 #: Values per chunk when a column is streamed out; bounds what a save
 #: holds at once to a few hundred kilobytes.
@@ -95,6 +113,27 @@ CHUNK = 4096
 _NEVER = np.iinfo(np.int64).max
 
 Columns = dict[str, array]
+_T = TypeVar("_T")
+
+
+def _numpy(column: array, lo: int = 0, hi: int | None = None) -> np.ndarray:
+    """``column[lo:hi]`` as numpy, over a copy so that no buffer export
+    pins the growing ``array``."""
+    return np.frombuffer(column[lo:hi], dtype=_DTYPES[column.typecode])
+
+
+def _array(typecode: str, values: np.ndarray) -> array:
+    return array(typecode, values.astype(_DTYPES[typecode], copy=False).tobytes())
+
+
+def narrow(values: np.ndarray) -> np.ndarray:
+    """Integer ``values`` as int16, or as int32 if int16 cannot hold
+    them; unchanged if neither can."""
+    for dtype in (np.int16, np.int32):
+        info = np.iinfo(dtype)
+        if not values.size or (info.min <= values.min() and values.max() <= info.max):
+            return values.astype(dtype, copy=False)
+    return values
 
 
 class StringTable:
@@ -115,61 +154,79 @@ class StringTable:
 
 
 class Ledger:
-    """The three v1 tables as growable typed columns over one string table."""
+    """The three v1 tables as growable typed columns over one string table.
+
+    ``starts[table]`` holds, for each child table, the first child row of
+    every decision row and then the child row count.
+    """
 
     def __init__(
         self,
         strings: StringTable | None = None,
         tables: dict[str, Columns] | None = None,
+        starts: dict[str, array] | None = None,
     ) -> None:
         self.strings = StringTable() if strings is None else strings
         if tables is None:
             tables = {
                 table: {name: array(_TYPECODES[kind]) for name, kind in spec}
-                for table, spec in TABLES.items()
+                for table, spec in _STORED.items()
             }
+        if starts is None:
+            starts = {table: array("i", [0]) for table in CHILD_TABLES}
         self.tables = tables
-        decisions = tuple(tables["decisions"].values())
+        self.starts = starts
+        self._bind()
+        self.none_id = self.strings.intern("none")
+
+    def _bind(self) -> None:
+        """Cache the column tuples :meth:`append` writes to."""
+        decisions = tuple(self.tables["decisions"].values())
         self._ints = decisions[: len(DECISION_INTS)]
         self._strs = decisions[len(DECISION_INTS) : -len(DECISION_FLOATS)]
         self._floats = decisions[-len(DECISION_FLOATS) :]
-        self._predicates = tuple(tables["predicates"].values())
-        self._candidates = tuple(tables["candidates"].values())
-        self.none_id = self.strings.intern("none")
+        self._predicates = tuple(self.tables["predicates"].values())
+        self._candidates = tuple(self.tables["candidates"].values())
 
     def __len__(self) -> int:
-        return len(self._ints[0])
+        return len(self.starts["predicates"]) - 1
 
     def counts(self) -> dict[str, int]:
         """Rows per table."""
-        return {table: len(next(iter(cols.values()))) for table, cols in self.tables.items()}
+        starts = self.starts
+        return {
+            "decisions": len(self),
+            "predicates": starts["predicates"][-1],
+            "candidates": starts["candidates"][-1],
+        }
 
     def column(self, table: str, name: str, n: int | None = None) -> np.ndarray:
-        """A copy of a column's first ``n`` values (all by default) as numpy.
-
-        A copy, so no buffer export pins the growing ``array``.
-        """
-        column = self.tables[table][name]
-        return np.frombuffer(column[:n], dtype=_DTYPES[column.typecode])
+        """A copy of a stored column's first ``n`` values (all by default)."""
+        return _numpy(self.tables[table][name], 0, n)
 
     # ------------------------------------------------------------------
     # Recording
     # ------------------------------------------------------------------
     def append(
         self,
-        ints: Iterable[int],
-        strings: Iterable[str],
-        floats: Iterable[float],
-        predicates: Iterable[tuple[str, str, float, float, bool]] = (),
-        candidates: Iterable[tuple[str, int, int, str, str, float, float]] = (),
+        ints: Sequence[int],
+        strings: Sequence[str],
+        floats: Sequence[float],
+        predicates: Sequence[tuple[str, str, float, float, bool]] = (),
+        candidates: Sequence[tuple[str, int, int, str, str, float, float]] = (),
     ) -> int:
         """Append one decision row and its predicate and candidate rows.
 
         ``ints``/``strings``/``floats`` follow :data:`DECISION_INTS`,
         :data:`DECISION_STRINGS` and :data:`DECISION_FLOATS`; predicate
         and candidate tuples follow their table's columns after
-        ``decision``.  Returns the new decision row.
+        ``decision``.  Returns the new decision row.  The arguments are
+        sequences because a write repeated after widening reads them
+        again.
         """
+        return self._widening(self._append, ints, strings, floats, predicates, candidates)
+
+    def _append(self, ints, strings, floats, predicates, candidates) -> int:
         row = len(self)
         intern = self.strings.intern
         for column, value in zip(self._ints, ints):
@@ -178,17 +235,15 @@ class Ledger:
             column.append(intern(text))
         for column, value in zip(self._floats, floats):
             column.append(value)
-        decision, eq, subject, lhs, threshold, passed = self._predicates
+        eq, subject, lhs, threshold, passed = self._predicates
         for p_eq, p_subject, p_lhs, p_threshold, p_passed in predicates:
-            decision.append(row)
             eq.append(intern(p_eq))
             subject.append(intern(p_subject))
             lhs.append(p_lhs)
             threshold.append(p_threshold)
             passed.append(p_passed)
-        decision, role, dc, sid, verdict, cause, value, threshold = self._candidates
+        role, dc, sid, verdict, cause, value, threshold = self._candidates
         for c_role, c_dc, c_sid, c_verdict, c_cause, c_value, c_threshold in candidates:
-            decision.append(row)
             role.append(intern(c_role))
             dc.append(c_dc)
             sid.append(c_sid)
@@ -196,15 +251,42 @@ class Ledger:
             cause.append(intern(c_cause))
             value.append(c_value)
             threshold.append(c_threshold)
+        # The row counts only once its offsets are in.
+        self.starts["predicates"].append(len(eq))
+        self.starts["candidates"].append(len(role))
         return row
 
     def stamp_fate(self, row: int, fate: str, cause: str, target_dc: int) -> None:
         """Set a decision row's fate in place (and its target dc if known)."""
+        self._widening(self._stamp_fate, row, fate, cause, target_dc)
+
+    def _stamp_fate(self, row: int, fate: str, cause: str, target_dc: int) -> None:
         decisions = self.tables["decisions"]
         decisions["fate"][row] = self.strings.intern(fate)
         decisions["fate_cause"][row] = self.strings.intern(cause)
         if target_dc >= 0:
             decisions["target_dc"][row] = target_dc
+
+    def _widening(self, write: Callable[..., _T], *args: object) -> _T:
+        """``write(*args)``.  On the first value an int16 column cannot
+        hold, cut every column back to the last whole decision row, turn
+        every int16 column into int32 and write again."""
+        while True:
+            try:
+                return write(*args)
+            except OverflowError:
+                n = len(self)
+                widened = False
+                for table, columns in self.tables.items():
+                    end = n if table == "decisions" else self.starts[table][n]
+                    for name, column in columns.items():
+                        del column[end:]
+                        if column.typecode == "h":
+                            columns[name] = array("i", column)
+                            widened = True
+                if not widened:
+                    raise
+                self._bind()
 
     # ------------------------------------------------------------------
     # Compaction
@@ -226,18 +308,16 @@ class Ledger:
         keep[rows] = False
         new_row = np.cumsum(keep) - 1
         tables = {"decisions": self._take("decisions", keep)}
-        for table in ("predicates", "candidates"):
-            decision = self.column(table, "decision")
-            kept = keep[decision]
-            tables[table] = self._take(table, kept)
-            tables[table]["decision"] = array(
-                "i", new_row[decision[kept]].astype(np.int32).tobytes()
-            )
-        return Ledger(self.strings, tables), new_row
+        starts = {}
+        for table in CHILD_TABLES:
+            sizes = np.diff(_numpy(self.starts[table]))
+            tables[table] = self._take(table, np.repeat(keep, sizes))
+            starts[table] = _array("i", np.concatenate(([0], np.cumsum(sizes[keep]))))
+        return Ledger(self.strings, tables, starts), new_row
 
     def _take(self, table: str, mask: np.ndarray) -> Columns:
         return {
-            name: array(column.typecode, self.column(table, name)[mask].tobytes())
+            name: _array(column.typecode, _numpy(column)[mask])
             for name, column in self.tables[table].items()
         }
 
@@ -275,22 +355,35 @@ class Ledger:
     def from_arrays(
         cls, strings: StringTable, tables: dict[str, dict[str, np.ndarray]]
     ) -> Ledger:
-        """Fill the columns from validated numpy arrays (ids already in
-        ``strings``); child rows are put in decision order, stably."""
-        columns: dict[str, Columns] = {}
-        for table, spec in TABLES.items():
+        """Fill the columns from validated numpy arrays in the file's
+        layout (ids already in ``strings``, child rows keyed by a
+        ``decision`` column).  Child rows are put in decision order,
+        stably, and their ``decision`` columns become offsets.  Each int
+        and id column is int16 if its range fits, else int32."""
+        n = len(tables["decisions"]["epoch"])
+        columns = {"decisions": _typed(tables["decisions"], _STORED["decisions"])}
+        starts = {}
+        for table in CHILD_TABLES:
             values = tables[table]
-            if table != "decisions":
+            decision = values["decision"]
+            if np.any(decision[1:] < decision[:-1]):
+                order = np.argsort(decision, kind="stable")
+                values = {name: column[order] for name, column in values.items()}
                 decision = values["decision"]
-                if np.any(decision[1:] < decision[:-1]):
-                    order = np.argsort(decision, kind="stable")
-                    values = {name: column[order] for name, column in values.items()}
-            columns[table] = {}
-            for name, kind in spec:
-                typecode = _TYPECODES[kind]
-                data = values[name].astype(_DTYPES[typecode]).tobytes()
-                columns[table][name] = array(typecode, data)
-        return cls(strings, columns)
+            columns[table] = _typed(values, _STORED[table])
+            starts[table] = _array("i", np.searchsorted(decision, np.arange(n + 1)))
+        return cls(strings, columns, starts)
+
+
+def _typed(values: dict[str, np.ndarray], spec: tuple[tuple[str, str], ...]) -> Columns:
+    columns = {}
+    for name, kind in spec:
+        column, typecode = values[name], _TYPECODES[kind]
+        if typecode == "h":
+            column = narrow(column)
+            typecode = "h" if column.dtype == np.int16 else "i"
+        columns[name] = _array(typecode, column)
+    return columns
 
 
 class LedgerView(Sequence[DecisionRecord]):
@@ -322,15 +415,12 @@ class LedgerView(Sequence[DecisionRecord]):
     def _record(self, row: int) -> DecisionRecord:
         text = self.ledger.strings.strings
         d = self.ledger.tables["decisions"]
-        pred, eq, subject, lhs, threshold, passed = self.ledger.tables["predicates"].values()
-        cand, role, dc, sid, verdict, cause, value, c_threshold = self.ledger.tables[
+        eq, subject, lhs, threshold, passed = self.ledger.tables["predicates"].values()
+        role, dc, sid, verdict, cause, value, c_threshold = self.ledger.tables[
             "candidates"
         ].values()
-        # Child rows are in decision order: each row's are one contiguous run.
-        p_lo = bisect.bisect_left(pred, row, 0, self.counts["predicates"])
-        p_hi = bisect.bisect_left(pred, row + 1, p_lo, self.counts["predicates"])
-        c_lo = bisect.bisect_left(cand, row, 0, self.counts["candidates"])
-        c_hi = bisect.bisect_left(cand, row + 1, c_lo, self.counts["candidates"])
+        p_starts = self.ledger.starts["predicates"]
+        c_starts = self.ledger.starts["candidates"]
         return DecisionRecord(
             epoch=d["epoch"][row],
             partition=d["partition"][row],
@@ -353,7 +443,7 @@ class LedgerView(Sequence[DecisionRecord]):
                 PredicateEval(
                     text[eq[j]], text[subject[j]], lhs[j], threshold[j], bool(passed[j])
                 )
-                for j in range(p_lo, p_hi)
+                for j in range(p_starts[row], p_starts[row + 1])
             ),
             candidates=tuple(
                 CandidateEval(
@@ -365,7 +455,7 @@ class LedgerView(Sequence[DecisionRecord]):
                     value[j],
                     c_threshold[j],
                 )
-                for j in range(c_lo, c_hi)
+                for j in range(c_starts[row], c_starts[row + 1])
             ),
         )
 
@@ -374,6 +464,10 @@ class LedgerView(Sequence[DecisionRecord]):
     # ------------------------------------------------------------------
     def column(self, table: str, name: str) -> np.ndarray:
         return self.ledger.column(table, name, self.counts[table])
+
+    def offsets(self, table: str) -> np.ndarray:
+        """A child table's offsets over the view's decision rows."""
+        return _numpy(self.ledger.starts[table], 0, len(self) + 1)
 
     def num_actions(self) -> int:
         return int(np.count_nonzero(self.column("decisions", "action") != self.ledger.none_id))
@@ -404,30 +498,31 @@ class LedgerView(Sequence[DecisionRecord]):
         """
         text = self.ledger.strings.strings
         tables = self.ledger.tables
-        n_pred, n_cand = self.counts["predicates"], self.counts["candidates"]
-        pred, cand = tables["predicates"]["decision"], tables["candidates"]["decision"]
+        n = len(self)
+        p_starts = self.ledger.starts["predicates"]
+        c_starts = self.ledger.starts["candidates"]
 
-        def before(column: array, n: int, row: int) -> int:
-            # Child rows of the decisions before ``row`` (children are
-            # in decision order).
-            return bisect.bisect_left(column, row, 0, n)
+        def owner(starts: array, row: int) -> int:
+            # The decision row whose children include child row ``row``.
+            return bisect.bisect_right(starts, row, 0, n + 1) - 1
 
         # Record-major position of each row's first string.  Decision row
         # d starts at base(d) = 5d + 2P(d) + 3C(d), P and C counting the
-        # predicate and candidate rows before d.  Predicate row i of d
-        # follows d's five strings and every predicate row before i:
-        # 5(d+1) + 2i + 3C(d).  Candidate row i of d follows all of d's
-        # predicates and every candidate row before i: 5(d+1) + 2P(d+1) + 3i.
+        # predicate and candidate rows before d (its offsets).  Predicate
+        # row i of d follows d's five strings and every predicate row
+        # before i: 5(d+1) + 2i + 3C(d).  Candidate row i of d follows all
+        # of d's predicates and every candidate row before i:
+        # 5(d+1) + 2P(d+1) + 3i.
         def decision_start(row: int) -> int:
-            return 5 * row + 2 * before(pred, n_pred, row) + 3 * before(cand, n_cand, row)
+            return 5 * row + 2 * p_starts[row] + 3 * c_starts[row]
 
         def predicate_start(row: int) -> int:
-            d = pred[row]
-            return 5 * (d + 1) + 2 * row + 3 * before(cand, n_cand, d)
+            d = owner(p_starts, row)
+            return 5 * (d + 1) + 2 * row + 3 * c_starts[d]
 
         def candidate_start(row: int) -> int:
-            d = cand[row]
-            return 5 * (d + 1) + 2 * before(pred, n_pred, d + 1) + 3 * row
+            d = owner(c_starts, row)
+            return 5 * (d + 1) + 2 * p_starts[d + 1] + 3 * row
 
         first = np.full(len(text), _NEVER, dtype=np.int64)
         for table, names, start in (
@@ -435,11 +530,11 @@ class LedgerView(Sequence[DecisionRecord]):
             ("predicates", ("eq", "subject"), predicate_start),
             ("candidates", ("role", "verdict", "cause"), candidate_start),
         ):
-            n = self.counts[table]
+            rows = self.counts[table]
             for j, name in enumerate(names):
                 column = tables[table][name]
-                for lo in range(0, n, CHUNK):
-                    ids = np.frombuffer(column[lo : min(n, lo + CHUNK)], dtype=np.int32)
+                for lo in range(0, rows, CHUNK):
+                    ids = _numpy(column, lo, min(rows, lo + CHUNK))
                     used, at = np.unique(ids, return_index=True)
                     position = np.array([start(lo + i) + j for i in at.tolist()], dtype=np.int64)
                     first[used] = np.minimum(first[used], position)
@@ -456,25 +551,35 @@ class LedgerView(Sequence[DecisionRecord]):
         """``(table, columns)`` in file order; each column is
         ``(name, chunks)``, each chunk a list of up to :data:`CHUNK`
         JSON-ready values."""
-        for table, spec in TABLES.items():
-            yield table, _columns(self.ledger.tables[table], spec, self.counts[table], remap)
+        for table in TABLES:
+            yield table, self._file_columns(table, remap)
+
+    def _file_columns(
+        self, table: str, remap: np.ndarray
+    ) -> Iterator[tuple[str, Iterator[list]]]:
+        n = self.counts[table]
+        for name, kind in TABLES[table]:
+            if kind == "row":
+                yield name, _decision_chunks(self.offsets(table), n)
+            else:
+                yield name, _chunks(self.ledger.tables[table][name], kind, n, remap)
 
 
-def _columns(
-    columns: Columns, spec: tuple[tuple[str, str], ...], n: int, remap: np.ndarray
-) -> Iterator[tuple[str, Iterator[list]]]:
-    for name, kind in spec:
-        yield name, _chunks(columns[name], kind, n, remap)
+def _decision_chunks(starts: np.ndarray, n: int) -> Iterator[list]:
+    """The decision row of each of a child table's ``n`` rows."""
+    for lo in range(0, n, CHUNK):
+        rows = np.arange(lo, min(n, lo + CHUNK), dtype=starts.dtype)
+        yield (np.searchsorted(starts, rows, side="right") - 1).tolist()
 
 
 def _chunks(column: array, kind: str, n: int, remap: np.ndarray) -> Iterator[list]:
     for lo in range(0, n, CHUNK):
         part = column[lo : min(n, lo + CHUNK)]
         if kind == "str":
-            yield remap[np.frombuffer(part, dtype=np.int32)].tolist()
+            yield remap[_numpy(part)].tolist()
         elif kind == "float":
             values = part.tolist()
-            for i in np.flatnonzero(~np.isfinite(np.frombuffer(part, dtype=np.float64))).tolist():
+            for i in np.flatnonzero(~np.isfinite(_numpy(part))).tolist():
                 values[i] = None
             yield values
         else:

@@ -4,6 +4,7 @@ artifact, trace cross-check and the shared artifact-path helpers
 
 import dataclasses
 import gc
+import itertools
 import json
 import math
 import random
@@ -435,6 +436,25 @@ class TestArtifact:
         shuffled = dict(payload, predicates={k: [v[i] for i in order] for k, v in table.items()})
         assert ProvArtifact.from_dict(shuffled).to_dict() == payload
 
+    @pytest.mark.parametrize(
+        "layout",
+        [
+            lambda doc: json.dumps(doc, indent=1),
+            lambda doc: json.dumps(
+                dict(reversed(list(doc.items()))), separators=(" ,\r\n", "\t: ")
+            ) + "\n\t",
+            lambda doc: '{"predicates": [1], "strings": 5, ' + json.dumps(doc)[1:],
+        ],
+        ids=["indented", "tables-first-spaced", "later-member-wins"],
+    )
+    def test_load_reads_the_document_in_any_json_layout(self, tmp_path, layout):
+        # The loader walks members itself; it must read what json.load reads.
+        recorder, _ = _recorded_run(epochs=4)
+        doc = recorder.artifact().to_dict()
+        path = tmp_path / "layout.prov.json"
+        path.write_text(layout(doc))
+        assert ProvArtifact.load(path).to_dict() == doc
+
     def test_missing_file_raises_provenance_error(self, tmp_path):
         with pytest.raises(ProvenanceError):
             ProvArtifact.load(tmp_path / "nope.prov.json")
@@ -573,6 +593,32 @@ def _synthetic_pair(tmp_path, seed, growth, fan_out, budget=DEFAULT_BUDGET,
     return recorder, json.loads(saved)
 
 
+_SYNTHETIC_STRINGS = [f"s{i}" for i in range(300)]
+
+
+@pytest.fixture(scope="module")
+def chaos_sized_view():
+    """A ledger of chaos-observed size: 32,000 decisions, 368,000 child rows."""
+    rng = np.random.default_rng(5)
+    strings = StringTable()
+    ids = np.array([strings.intern(name) for name in _SYNTHETIC_STRINGS])
+    rows = {"decisions": 32_000, "predicates": 213_000, "candidates": 155_000}
+
+    def column(table, kind):
+        n = rows[table]
+        if kind == "row":
+            return np.sort(rng.integers(0, rows["decisions"], n))
+        if kind == "str":
+            return rng.choice(ids, n)
+        return rng.random(n) if kind == "float" else rng.integers(0, 2, n)
+
+    tables = {
+        table: {name: column(table, kind) for name, kind in spec}
+        for table, spec in TABLES.items()
+    }
+    return LedgerView(Ledger.from_arrays(strings, tables))
+
+
 class TestBoundedFileStrings:
     @given(
         seed=st.integers(0, 2**32 - 1),
@@ -601,37 +647,16 @@ class TestBoundedFileStrings:
         for table in ("predicates", "candidates"):
             assert len(doc[table]["decision"]) > 2 * CHUNK
 
-    def test_file_strings_holds_one_slice_at_a_time(self):
-        # A ledger of chaos-observed size: 32,000 decisions, 368,000 child rows.
-        rng = np.random.default_rng(5)
-        strings = StringTable()
-        names = [f"s{i}" for i in range(300)]
-        ids = np.array([strings.intern(name) for name in names])
-        rows = {"decisions": 32_000, "predicates": 213_000, "candidates": 155_000}
-
-        def column(table, kind):
-            n = rows[table]
-            if kind == "row":
-                return np.sort(rng.integers(0, rows["decisions"], n))
-            if kind == "str":
-                return rng.choice(ids, n)
-            return rng.random(n) if kind == "float" else rng.integers(0, 2, n)
-
-        tables = {
-            table: {name: column(table, kind) for name, kind in spec}
-            for table, spec in TABLES.items()
-        }
-        view = LedgerView(Ledger.from_arrays(strings, tables))
-        del tables
+    def test_file_strings_holds_one_slice_at_a_time(self, chaos_sized_view):
         gc.collect()
         tracemalloc.start()
         try:
             start = tracemalloc.get_traced_memory()[0]
-            file_strings, _ = view.file_strings()
+            file_strings, _ = chaos_sized_view.file_strings()
             peak = tracemalloc.get_traced_memory()[1] - start
         finally:
             tracemalloc.stop()
-        assert sorted(file_strings) == sorted(["", *names])
+        assert sorted(file_strings) == sorted(["", *_SYNTHETIC_STRINGS])
         assert peak <= 1_000_000, f"file_strings() peaked {peak / 1e6:.2f} MB above its start"
 
 
@@ -734,6 +759,125 @@ class TestBatchedCompaction:
 
 
 # ----------------------------------------------------------------------
+# Int16 columns that widen to int32 at the first value they cannot hold
+# ----------------------------------------------------------------------
+#: A value past the int16 range.
+_WIDE = 40_000
+
+
+def _assert_whole_rows(ledger):
+    """No table holds a row its counts leave out (a half-appended row)."""
+    counts = ledger.counts()
+    assert len(ledger) == counts["decisions"] == len(ledger.starts["candidates"]) - 1
+    for table, columns in ledger.tables.items():
+        assert {len(column) for column in columns.values()} == {counts[table]}, table
+
+
+def _widening_pair(first, budget):
+    """A recorder and the reference, driven alike past the int16 range.
+
+    Fresh ``subject``s fill the string table to 32,768 strings, the most
+    int16 ids can name.  Then ``first`` takes the ledger past int16:
+    ``subject`` and ``sid`` overflow on a child row after its decision
+    row went in, ``epoch`` on the decision row and ``fate`` in a stamp.
+    Afterwards epochs, candidate sids, subjects and a fate cause never
+    seen before all pass int16 too.  The ledger's rows are checked whole
+    after every call.
+    """
+    recorders = recorder, reference = ProvenanceRecorder(budget), _ReferenceRecorder(budget)
+    strings = recorder._ledger.strings.strings
+    fresh = (f"subject-{i}" for i in itertools.count())
+    epoch, partition, pending = 0, 0, []
+
+    def call(method, *args, **kwargs):
+        for rec in recorders:
+            getattr(rec, method)(*args, **kwargs)
+        _assert_whole_rows(recorder._ledger)
+
+    def decide(subjects=(), sid=3, act=False):
+        nonlocal partition
+        partition += 1
+        action = _action_for("replicate", partition) if act else None
+        drafts = [rec.open(epoch=epoch, partition=partition, **_context()) for rec in recorders]
+        for draft in drafts:
+            draft.branch = "availability"
+            for subject in subjects:
+                draft.predicate("eq12", subject, 1.0, 0.5, True)
+            draft.candidate("hub", 1, sid=sid, verdict="accepted", cause="c", value=0.25)
+        for rec, draft in zip(recorders, drafts):
+            rec.close(draft, [action] if act else [])
+        _assert_whole_rows(recorder._ledger)
+        if act:
+            pending.append(action)
+
+    def settle(cause=""):
+        nonlocal epoch
+        for action in pending:
+            call("note_fate", epoch, "replicate", action, "skipped", cause=cause)
+        pending.clear()
+        epoch += 1
+
+    decide(act=True)
+    settle(reasons.SKIP_BANDWIDTH)
+    while len(strings) < 2**15:
+        missing = 2**15 - len(strings)
+        decide([next(fresh) for _ in range(min(16, missing))], act=partition % 7 == 0)
+        if partition % 16 == 0:
+            settle()
+    assert recorder._ledger.tables["decisions"]["epoch"].typecode == "h"
+    if first == "subject":
+        decide([next(fresh)])
+    elif first == "sid":
+        decide(sid=_WIDE)
+    elif first == "epoch":
+        epoch = _WIDE
+        decide()
+    else:
+        decide(act=True)
+        settle("a cause only the stamp interns")
+    assert {
+        column.typecode
+        for columns in recorder._ledger.tables.values()
+        for column in columns.values()
+    } <= {"i", "d", "b"}
+    epoch = max(epoch, _WIDE + 1)
+    for i in range(40):
+        decide([next(fresh)], sid=_WIDE + i, act=i % 4 == 0)
+    settle("a cause first seen after the widening")
+    decide()
+    return recorder, reference
+
+
+class TestWidening:
+    @pytest.mark.parametrize(
+        "first,budget",
+        [("subject", DEFAULT_BUDGET), ("sid", DEFAULT_BUDGET), ("epoch", 600), ("fate", 600)],
+    )
+    def test_ledger_widens_without_changing_a_byte(self, tmp_path, first, budget):
+        recorder, reference = _widening_pair(first, budget)
+        assert len(recorder.records) == len(reference.records)
+        expected = reference.file_bytes()
+        assert _saved_bytes(recorder, tmp_path) == expected
+        if budget < DEFAULT_BUDGET:
+            assert recorder.noop_dropped == reference.noop_dropped != {}
+        # Already int32, the ledger cannot widen: the row is removed whole.
+        ledger = recorder._ledger
+        counts = ledger.counts()
+        with pytest.raises(OverflowError):
+            ledger.append(
+                (1,) * 8, ("",) * 5, (0.0,) * 4,
+                [("eq12", "never saved", 1.0, 0.5, True)],
+                [("hub", 1, 2**40, "", "", 0.0, 0.0)],
+            )
+        assert ledger.counts() == counts
+        _assert_whole_rows(ledger)
+        assert _saved_bytes(recorder, tmp_path) == expected
+        path = tmp_path / "again.prov.json"
+        ProvArtifact.load(tmp_path / "ledger.prov.json").save(path)
+        assert path.read_bytes() == expected
+
+
+# ----------------------------------------------------------------------
 # Snapshots and the memory budget
 # ----------------------------------------------------------------------
 class TestSnapshotAndMemory:
@@ -793,10 +937,30 @@ class TestSnapshotAndMemory:
             tracemalloc.stop()
         decisions = ProvArtifact.load(path).num_decisions
         assert decisions >= 1500
+        # 766 B with int32 columns and a stored child ``decision`` column,
+        # 525 B with int16 columns and per-decision child offsets.
         per_decision = (recorded - bare) / decisions
-        assert per_decision <= 1000, f"{per_decision:.0f} B retained per decision"
+        assert per_decision <= 600, f"{per_decision:.0f} B retained per decision"
         size = path.stat().st_size
         assert save_peak <= 1.5 * size, f"save peaked at {save_peak / size:.2f}x the file"
+
+    def test_load_converts_each_column_as_it_is_parsed(self, tmp_path, chaos_sized_view):
+        # The file's text is held whole (and, while it is decoded, its
+        # bytes too); each column's Python values only while it converts.
+        # Parsing the whole document first peaked at 4.3x the file.
+        path = tmp_path / "chaos-sized.prov.json"
+        ProvArtifact(chaos_sized_view).save(path)
+        gc.collect()
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            loaded = ProvArtifact.load(path)
+            peak = tracemalloc.get_traced_memory()[1] - start
+        finally:
+            tracemalloc.stop()
+        assert loaded.num_decisions == len(chaos_sized_view)
+        size = path.stat().st_size
+        assert peak <= 2.5 * size, f"load peaked at {peak / size:.2f}x the file"
 
 
 # ----------------------------------------------------------------------
