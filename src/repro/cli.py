@@ -1,6 +1,6 @@
 """Command-line interface: ``python -m repro <command>``.
 
-Sixteen subcommands cover the workflows a user reaches for first:
+Fourteen subcommands cover the workflows a user reaches for first:
 
 * ``run``     — one policy, one scenario, headline metrics (optionally
   exported to CSV/JSON); ``--chaos NAME`` overlays a chaos schedule;
@@ -26,12 +26,6 @@ Sixteen subcommands cover the workflows a user reaches for first:
   ``--fingerprint-out`` artifact) and report the **first divergent
   epoch and which component diverged** (replicas / storage / rng /
   metrics, down to the RNG stream);
-* ``profile`` — run one policy under the deterministic hot-path
-  profiler (kernel spans + work counters + allocation accounting) and
-  write a versioned ``.prof.json`` plus flamegraph/speedscope exports;
-* ``perfdiff`` — attribute a perf regression by diffing two
-  ``.prof.json`` artifacts phase by phase, stack by stack and counter
-  by counter (non-zero exit on regression, for CI gating);
 * ``explain`` — render a ``--provenance-out`` decision ledger as a
   causal narrative: which Eq. 12/13/15/16 predicate fired for a
   partition, with the actual numbers and threshold slack, and why the
@@ -68,8 +62,6 @@ Examples::
     python -m repro run --sanitize --fingerprint-out run.fp.json
     python -m repro sanitize --against run.fp.json
     python -m repro sanitize --engine columnar --against run.fp.json
-    python -m repro profile --policy rfh --epochs 120 --out run.prof.json
-    python -m repro perfdiff base.prof.json run.prof.json
     python -m repro run --provenance-out run.prov.json
     python -m repro explain run.prov.json --partition 7 --why-not 3
     python -m repro provdiff base.prov.json run.prov.json
@@ -99,7 +91,7 @@ from .experiments.scenarios import (
     flash_crowd_scenario,
     random_query_scenario,
 )
-from .obs.paths import derived_path, tagged_path
+from .obs.paths import tagged_path
 
 __all__ = ["main", "build_parser"]
 
@@ -182,7 +174,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument(
             "--profile",
             action="store_true",
-            help="time the six engine phases and print a per-phase table",
+            help="time the six engine phases and count the engine's work; "
+            "print a per-phase table and the work totals",
         )
         p.add_argument(
             "--analyze",
@@ -471,91 +464,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="print the divergence report as JSON",
     )
 
-    prof_p = sub.add_parser(
-        "profile",
-        help="run one policy under the hot-path profiler and write a "
-        "versioned .prof.json (plus flamegraph/speedscope exports)",
-    )
-    common(prof_p)
-    chaos_opts(prof_p)
-    engine_opt(prof_p)
-    prof_p.add_argument(
-        "--policy", choices=sorted(POLICIES), default="rfh", help="algorithm to run"
-    )
-    prof_p.add_argument(
-        "--mode",
-        choices=("kernels", "trace"),
-        default="kernels",
-        help="'kernels': deterministic instrumented spans; 'trace': "
-        "sys.setprofile per-function attribution (slower)",
-    )
-    prof_p.add_argument(
-        "--out",
-        metavar="PATH.prof.json",
-        default="run.prof.json",
-        help="profile artifact path (default: run.prof.json)",
-    )
-    prof_p.add_argument(
-        "--flamegraph",
-        metavar="PATH.html",
-        default=None,
-        help="also write a self-contained flamegraph (default: "
-        "<out-stem>.flame.html; pass '' to skip)",
-    )
-    prof_p.add_argument(
-        "--speedscope",
-        metavar="PATH.json",
-        default=None,
-        help="also write a speedscope-format export (default: "
-        "<out-stem>.speedscope.json; pass '' to skip)",
-    )
-    prof_p.add_argument(
-        "--top", type=int, default=10, help="hottest stacks to print (default 10)"
-    )
-    prof_p.add_argument(
-        "--no-alloc",
-        action="store_true",
-        help="skip tracemalloc allocation accounting (faster)",
-    )
-
-    pdiff_p = sub.add_parser(
-        "perfdiff",
-        help="attribute a perf regression: diff two .prof.json artifacts "
-        "by phase, stack and work counter (non-zero exit on regression)",
-    )
-    pdiff_p.add_argument(
-        "baseline", metavar="BASE.prof.json", help="baseline profile artifact"
-    )
-    pdiff_p.add_argument(
-        "candidate", metavar="CAND.prof.json", help="candidate profile artifact"
-    )
-    pdiff_p.add_argument(
-        "--rel-tol",
-        type=float,
-        default=0.25,
-        help="relative timing tolerance before a slowdown gates (default 0.25)",
-    )
-    pdiff_p.add_argument(
-        "--abs-tol-ms",
-        type=float,
-        default=2.0,
-        help="absolute timing tolerance in milliseconds (default 2.0)",
-    )
-    pdiff_p.add_argument(
-        "--gate-counters",
-        action="store_true",
-        help="treat deterministic work-counter growth as a regression too",
-    )
-    pdiff_p.add_argument(
-        "--format", choices=("text", "json"), default="text", help="output format"
-    )
-    pdiff_p.add_argument(
-        "--verbose", action="store_true", help="list all improvements"
-    )
-    pdiff_p.add_argument(
-        "--out", help="write the report to this file instead of stdout"
-    )
-
     exp_p = sub.add_parser(
         "explain",
         help="answer 'why did the policy do that?' from a .prov.json "
@@ -741,8 +649,9 @@ class _Observers:
     the tracer on every path, an engine error included, so a partial
     trace stays analysable.  Called with a policy name, it returns that
     run's :func:`run_experiment` keyword arguments: the shared tracer
-    and a fresh profiler, time-series recorder, sanitizer and provenance
-    ledger.  :meth:`finish` saves and reports them all.
+    and a fresh profiler with its work counters, time-series recorder,
+    sanitizer and provenance ledger.  :meth:`finish` saves and reports
+    them all.
     """
 
     def __init__(self, args: argparse.Namespace, *, invariants: bool | None) -> None:
@@ -780,9 +689,11 @@ class _Observers:
         args = self.args
         run: dict = {"tracer": self.tracer, "invariants": self.invariants}
         if args.profile:
+            from .obs.perf import WorkCounters
             from .obs.profiler import PhaseProfiler
 
             run["profiler"] = PhaseProfiler()
+            run["work"] = WorkCounters()
         if args.timeseries_out:
             from .obs.timeseries import TimeseriesRecorder
 
@@ -854,6 +765,9 @@ class _Observers:
             if "profiler" in run:
                 print(f"\nphase timings ({policy}):" if tagged else "\nphase timings:")
                 print(run["profiler"].render_table())
+                print("work counters:")
+                for name, value in run["work"].totals().items():
+                    print(f"  {name}: {value:.0f}")
         if args.analyze:
             from .obs.analysis import analyze_events, analyze_trace, render_text
 
@@ -1358,79 +1272,6 @@ def _cmd_sweepdiff(args: argparse.Namespace) -> int:
     return report.exit_code()
 
 
-def _cmd_profile(args: argparse.Namespace) -> int:
-    from .artifact import save_text
-    from .obs.perf import profile_scenario, render_flamegraph
-
-    scenario = _scenario(args)
-    profile = profile_scenario(
-        args.policy,
-        scenario,
-        mode=args.mode,
-        allocations=not args.no_alloc,
-        engine=args.engine,
-    )
-    profile.save(args.out)
-    print(
-        f"wrote {args.out} (policy={args.policy} scenario={scenario.name} "
-        f"mode={args.mode}, {len(profile.nodes)} stack node(s), "
-        f"{profile.total_seconds() * 1e3:.1f} ms profiled)"
-    )
-    flame_path = args.flamegraph
-    if flame_path is None:
-        flame_path = derived_path(args.out, ".flame.html")
-    if flame_path:
-        html = render_flamegraph(profile)
-        save_text(flame_path, html)
-        print(f"wrote {flame_path} ({len(html) / 1024:.0f} KiB, self-contained)")
-    speedscope_path = args.speedscope
-    if speedscope_path is None:
-        speedscope_path = derived_path(args.out, ".speedscope.json")
-    if speedscope_path:
-        profile.save_speedscope(speedscope_path)
-        print(f"wrote {speedscope_path}")
-    hottest = profile.hottest(args.top)
-    if hottest:
-        print(f"hottest {len(hottest)} stack(s) by self time:")
-        for node in hottest:
-            print(
-                f"  {node['self_s'] * 1e3:9.3f} ms  x{node['count']:<6d} "
-                f"{';'.join(node['stack'])}"
-            )
-    if profile.counters:
-        print("work counters:")
-        for name, value in profile.counters.items():
-            print(f"  {name}: {value:.0f}")
-    return 0
-
-
-def _cmd_perfdiff(args: argparse.Namespace) -> int:
-    from .obs.perf import (
-        PerfProfile,
-        diff_profiles,
-        render_perfdiff_json,
-        render_perfdiff_text,
-    )
-
-    profiles = [
-        _load(PerfProfile, path, "profile artifact")
-        for path in (args.baseline, args.candidate)
-    ]
-    report = diff_profiles(
-        profiles[0],
-        profiles[1],
-        rel_tol=args.rel_tol,
-        abs_tol_s=args.abs_tol_ms / 1e3,
-        gate_counters=args.gate_counters,
-    )
-    if args.format == "json":
-        output = render_perfdiff_json(report)
-    else:
-        output = render_perfdiff_text(report, verbose=args.verbose)
-    _emit(output, args.out)
-    return report.exit_code()
-
-
 def main(argv: Sequence[str] | None = None) -> int:
     """Entry point; returns the process exit code."""
     args = build_parser().parse_args(argv)
@@ -1445,8 +1286,6 @@ def main(argv: Sequence[str] | None = None) -> int:
         "dashboard": _cmd_dashboard,
         "lint": _cmd_lint,
         "sanitize": _cmd_sanitize,
-        "profile": _cmd_profile,
-        "perfdiff": _cmd_perfdiff,
         "explain": _cmd_explain,
         "provdiff": _cmd_provdiff,
         "sweep": _cmd_sweep,

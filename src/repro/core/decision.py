@@ -45,10 +45,9 @@ from ..sim.reasons import (
     LOCAL_RELIEF,
     TRAFFIC_HUB,
 )
-from .traffic import _NULL_SPAN, _null_span
 
 if TYPE_CHECKING:
-    from ..obs.perf.counters import WorkCounters
+    from ..obs.perf import WorkCounters
     from ..obs.provenance.recorder import ProvenanceRecorder
     from ..obs.provenance.records import DecisionDraft
 from .migration import (
@@ -108,17 +107,10 @@ class RFHDecision:
         self._params = params
         self._work: "WorkCounters | None" = None
         self._prov: "ProvenanceRecorder | None" = None
-        self._span = _null_span
-        # Hoisted once here rather than looked up per partition: span
-        # timers are cached per name by the profiler.
-        self._threshold_span = _NULL_SPAN
 
-    def attach_perf(self, *, work: "WorkCounters | None" = None, span=None) -> None:
-        """Opt into work counting and kernel spans (``repro.obs.perf``)."""
+    def attach_perf(self, *, work: "WorkCounters") -> None:
+        """Opt into work counting (``repro.obs.perf``)."""
         self._work = work
-        if span is not None:
-            self._span = span
-            self._threshold_span = span("threshold-checks")
 
     def attach_provenance(self, recorder: "ProvenanceRecorder | None") -> None:
         """Opt into decision-provenance recording (``repro.obs.provenance``).
@@ -298,31 +290,28 @@ class RFHDecision:
         # epoch must agree the holder is drowning: smoothing alone keeps
         # reporting overload for ~1/alpha epochs after relief arrives,
         # which over-builds by exactly that many replicas per partition.
-        with self._threshold_span:
-            raw_holder = float(obs.holder_traffic[partition])
-            blocked = is_blocked(unserved, avg_query)
-            threshold_hit = is_holder_overloaded(
-                holder_traffic, avg_query, params.beta
-            ) and is_holder_overloaded(raw_holder, avg_query, params.beta)
-            overload = blocked or threshold_hit
-            # Hub candidates are *nodes not holding the original
-            # partition*; at our datacenter granularity that includes
-            # the holder's own datacenter — its other servers are
-            # forwarders sitting directly on every incoming path, which
-            # is how the paper's same-DC replicas arise ("some replicas
-            # are placed on the same datacenter of the primary
-            # partition holders").
-            # One vectorized Eq. 13 sweep over the datacenters: the
-            # γ·q̄ bar is a single double and each lane runs the same
-            # ``>=`` the scalar :func:`is_traffic_hub` call performs
-            # (zero-demand pinned false first), so the candidate list
-            # is element-for-element the per-dc loop's.
-            if overload and avg_query > 0.0:
-                hubs = np.nonzero(traffic_row >= params.gamma * avg_query)[
-                    0
-                ].tolist()
-            else:
-                hubs = []
+        raw_holder = float(obs.holder_traffic[partition])
+        blocked = is_blocked(unserved, avg_query)
+        threshold_hit = is_holder_overloaded(
+            holder_traffic, avg_query, params.beta
+        ) and is_holder_overloaded(raw_holder, avg_query, params.beta)
+        overload = blocked or threshold_hit
+        # Hub candidates are *nodes not holding the original
+        # partition*; at our datacenter granularity that includes
+        # the holder's own datacenter — its other servers are
+        # forwarders sitting directly on every incoming path, which
+        # is how the paper's same-DC replicas arise ("some replicas
+        # are placed on the same datacenter of the primary
+        # partition holders").
+        # One vectorized Eq. 13 sweep over the datacenters: the
+        # γ·q̄ bar is a single double and each lane runs the same
+        # ``>=`` the scalar :func:`is_traffic_hub` call performs
+        # (zero-demand pinned false first), so the candidate list
+        # is element-for-element the per-dc loop's.
+        if overload and avg_query > 0.0:
+            hubs = np.nonzero(traffic_row >= params.gamma * avg_query)[0].tolist()
+        else:
+            hubs = []
         if draft is not None:
             beta_bar = params.beta * avg_query
             draft.predicate(

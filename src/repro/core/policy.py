@@ -22,11 +22,11 @@ from .decision import (
 )
 from .smoothing import ActiveRowEwma, Ewma
 from .thresholds import UNSERVED_TOLERANCE
-from .traffic import _null_span, upsert_cells
+from .traffic import upsert_cells
 
 if TYPE_CHECKING:
     from .traffic import CellMatrix
-    from ..obs.perf.counters import WorkCounters
+    from ..obs.perf import WorkCounters
     from ..sim.columnar.state import SimState
 
 __all__ = ["BirthLedger", "RFHPolicy", "ReplicaAges"]
@@ -128,9 +128,7 @@ class RFHPolicy:
         # warm-up exemption.
         self._births = BirthLedger()
         self._decision = RFHDecision(self._params)
-        # Perf instrumentation (opt-in via attach_perf): a kernel-span
-        # factory and the shared work counters.
-        self._span = _null_span
+        # Work counters (opt-in via attach_perf).
         self._work: WorkCounters | None = None
         # Columnar decision prefilter (opt-in via attach_columnar_state):
         # with a replica-cell mirror available, partitions that provably
@@ -143,17 +141,11 @@ class RFHPolicy:
     def params(self) -> RFHParameters:
         return self._params
 
-    def attach_perf(self, *, profiler=None, work: "WorkCounters | None" = None) -> None:
-        """Opt into perf observability (``repro.obs.perf``).
-
-        ``profiler`` (when it supports spans) times the EWMA-smoothing
-        and decision-evaluation kernels; ``work`` counts decisions
-        evaluated.  Called by the engine when either is attached.
-        """
-        if profiler is not None and getattr(profiler, "supports_spans", False):
-            self._span = profiler.span
+    def attach_perf(self, *, work: "WorkCounters") -> None:
+        """Opt into work counting (``repro.obs.perf``): ``work`` counts
+        decisions evaluated.  Called by the engine when it is attached."""
         self._work = work
-        self._decision.attach_perf(work=work, span=self._span)
+        self._decision.attach_perf(work=work)
 
     def attach_provenance(self, recorder) -> None:
         """Opt into decision-provenance recording (``repro.obs.provenance``)."""
@@ -168,33 +160,29 @@ class RFHPolicy:
 
     def decide(self, obs: EpochObservation) -> list[Action]:
         """Run the decision tree over all partitions for one epoch."""
-        with self._span("ewma-smoothing"):
-            avg_query = np.asarray(self._avg_query.update(obs.system_average_query()))
-            traffic = self._update_traffic(obs.result.traffic_cells)
-            holder_traffic = np.asarray(
-                self._holder_traffic.update(obs.holder_traffic)
-            )
-            unserved = np.asarray(self._unserved.update(obs.unserved))
-            served = self._update_served(obs.result.served_cells)
+        avg_query = np.asarray(self._avg_query.update(obs.system_average_query()))
+        traffic = self._update_traffic(obs.result.traffic_cells)
+        holder_traffic = np.asarray(self._holder_traffic.update(obs.holder_traffic))
+        unserved = np.asarray(self._unserved.update(obs.unserved))
+        served = self._update_served(obs.result.served_cells)
         actions: list[Action] = []
-        with self._span("decision-eval"):
-            partitions = self._decision_partitions(
-                obs, avg_query, holder_traffic, unserved, served
-            )
-            age = self._replica_ages(obs.epoch)
-            for partition in partitions:
-                actions.extend(
-                    self._decision.decide_partition(
-                        partition,
-                        obs,
-                        float(avg_query[partition]),
-                        traffic.row(partition),
-                        float(holder_traffic[partition]),
-                        served.row(partition),
-                        float(unserved[partition]),
-                        replica_age=age,
-                    )
+        partitions = self._decision_partitions(
+            obs, avg_query, holder_traffic, unserved, served
+        )
+        age = self._replica_ages(obs.epoch)
+        for partition in partitions:
+            actions.extend(
+                self._decision.decide_partition(
+                    partition,
+                    obs,
+                    float(avg_query[partition]),
+                    traffic.row(partition),
+                    float(holder_traffic[partition]),
+                    served.row(partition),
+                    float(unserved[partition]),
+                    replica_age=age,
                 )
+            )
         self._births.record(obs.epoch, actions)
         return actions
 

@@ -43,31 +43,12 @@ from ..net.routing import Router
 from ..workload.query import QueryBatch
 
 if TYPE_CHECKING:
-    from ..obs.perf.counters import WorkCounters
+    from ..obs.perf import WorkCounters
 
 __all__ = ["CellMatrix", "ServiceResult", "serve_epoch", "upsert_cells"]
 
 #: Per-partition replica layout: ``{dc: [(sid, capacity_queries_per_epoch)]}``.
 ReplicaLayout = Mapping[int, Sequence[tuple[int, float]]]
-
-
-class _NullSpan:
-    """Shared no-op context manager for un-profiled kernel spans."""
-
-    __slots__ = ()
-
-    def __enter__(self) -> "_NullSpan":
-        return self
-
-    def __exit__(self, *exc: object) -> None:
-        pass
-
-
-_NULL_SPAN = _NullSpan()
-
-
-def _null_span(name: str) -> _NullSpan:
-    return _NULL_SPAN
 
 
 #: Largest run :meth:`CellMatrix.sum` hands to numpy whole: 2¹⁶ float64
@@ -305,7 +286,6 @@ def serve_epoch(
     holder_sid: Sequence[int | None] | None = None,
     latency=None,
     work: "WorkCounters | None" = None,
-    profiler=None,
 ) -> ServiceResult:
     """Route one epoch's query matrix and return the full service outcome.
 
@@ -337,13 +317,9 @@ def serve_epoch(
         given, SLA misses are accumulated exactly per absorbed flow
         (blocked queries always miss).
     work:
-        Optional :class:`~repro.obs.perf.counters.WorkCounters`; counts
+        Optional :class:`~repro.obs.perf.WorkCounters`; counts
         partitions scanned (each partition with queries this epoch) and
         graph hops (path nodes visited while constructing flows).
-    profiler:
-        Optional profiler exposing ``span(name)``; the routing walk
-        wraps flow construction in a ``"routing"`` span and the
-        level-synchronous capacity walk in ``"overflow-recursion"``.
     """
     num_partitions = queries.num_partitions
     num_dcs = queries.num_origins
@@ -373,11 +349,6 @@ def serve_epoch(
     flow_kms: list[float] = []
     flow_miss: list[float] = []
 
-    # Span timers are cached per name by the profiler, so look them up
-    # once per epoch instead of twice per partition in the hot loop.
-    span = profiler.span if profiler is not None else _null_span
-    routing_span = span("routing")
-    overflow_span = span("overflow-recursion")
     counts = queries.counts
     for partition in range(num_partitions):
         row = counts[partition]
@@ -410,8 +381,6 @@ def serve_epoch(
             sid,
             latency,
             work,
-            routing_span,
-            overflow_span,
             flow_hops,
             flow_kms,
             flow_miss,
@@ -443,8 +412,6 @@ def _serve_partition(
     holder_sid: int | None,
     latency,
     work: "WorkCounters | None" = None,
-    routing_span=_NULL_SPAN,
-    overflow_span=_NULL_SPAN,
     flow_hops: list[float] | None = None,
     flow_kms: list[float] | None = None,
     flow_miss: list[float] | None = None,
@@ -482,76 +449,30 @@ def _serve_partition(
     # Flows: (origin, path, remaining_amount); origins in ascending order.
     flows: list[tuple[int, tuple[int, ...], float]] = []
     max_levels = 0
-    with routing_span:
-        for origin in np.nonzero(row)[0]:
-            origin = int(origin)
-            if not router.reachable(origin, holder):
-                # A WAN partition separates the requester from the holder.
-                # Replicas on the requester's side of the cut still serve
-                # (nearest reachable replica datacenter first); the
-                # remainder is blocked at the origin, at zero distance.
-                amount = float(row[origin])
-                hop_f = 0.0
-                km_f = 0.0
-                miss_f = 0.0
-                traffic_row[origin] += amount
-                for dc in sorted(
-                    dc_servers, key=lambda d: (router.distance_km(origin, d), d)
-                ):
-                    if amount <= 0.0:
-                        break
-                    if dc != origin and not router.reachable(origin, dc):
-                        continue
-                    if dc != origin:
-                        traffic_row[dc] += amount
-                    hops = router.hop_count(origin, dc)
-                    km = router.distance_km(origin, dc)
-                    for sid in dc_servers[dc]:
-                        if amount <= 0.0:
-                            break
-                        cap = remaining.get(sid, 0.0)
-                        if cap <= 0.0:
-                            continue
-                        take = min(cap, amount)
-                        remaining[sid] = cap - take
-                        served_row[sid] += take
-                        amount -= take
-                        hop_f += take * hops
-                        km_f += take * km
-                        if (
-                            latency is not None
-                            and latency.response_ms(km, hops) > latency.sla_ms
-                        ):
-                            miss_f += take
-                if amount > 0.0:
-                    unserved[partition] += amount
-                    if latency is not None:
-                        miss_f += amount  # blocked queries always miss
-                flow_hops.append(hop_f)
-                flow_kms.append(km_f)
-                flow_miss.append(miss_f)
-                continue
-            path = router.path(origin, holder)
-            if work is not None:
-                work.graph_hops += len(path)
-            flows.append((origin, path, float(row[origin])))
-            max_levels = max(max_levels, len(path))
-    amounts = [f[2] for f in flows]
-    f_hops = [0.0] * len(flows)
-    f_kms = [0.0] * len(flows)
-    f_miss = [0.0] * len(flows)
-    with overflow_span:
-        for level in range(max_levels):
-            for idx, (origin, path, _) in enumerate(flows):
-                amount = amounts[idx]
-                if amount <= 0.0 or level >= len(path):
+    for origin in np.nonzero(row)[0]:
+        origin = int(origin)
+        if not router.reachable(origin, holder):
+            # A WAN partition separates the requester from the holder.
+            # Replicas on the requester's side of the cut still serve
+            # (nearest reachable replica datacenter first); the
+            # remainder is blocked at the origin, at zero distance.
+            amount = float(row[origin])
+            hop_f = 0.0
+            km_f = 0.0
+            miss_f = 0.0
+            traffic_row[origin] += amount
+            for dc in sorted(
+                dc_servers, key=lambda d: (router.distance_km(origin, d), d)
+            ):
+                if amount <= 0.0:
+                    break
+                if dc != origin and not router.reachable(origin, dc):
                     continue
-                dc = path[level]
-                # Eq. 8's arriving-flow traffic, including the origin's own
-                # full query load at level 0 (Eq. 5: tr_ijj = q_ij).
-                traffic_row[dc] += amount
-                entry = amount
-                for sid in dc_servers.get(dc, ()):
+                if dc != origin:
+                    traffic_row[dc] += amount
+                hops = router.hop_count(origin, dc)
+                km = router.distance_km(origin, dc)
+                for sid in dc_servers[dc]:
                     if amount <= 0.0:
                         break
                     cap = remaining.get(sid, 0.0)
@@ -561,29 +482,73 @@ def _serve_partition(
                     remaining[sid] = cap - take
                     served_row[sid] += take
                     amount -= take
-                # One hop/distance/SLA term per (flow, level): everything
-                # absorbed at this datacenter shares the same hop count
-                # and origin distance, so the level's absorption is
-                # charged with a single multiply-add (the columnar kernel
-                # computes the identical ``entry - amount`` difference).
-                absorbed = entry - amount
-                f_hops[idx] += absorbed * level
-                km = router.distance_km(origin, dc)
-                f_kms[idx] += absorbed * km
-                if (
-                    latency is not None
-                    and latency.response_ms(km, level) > latency.sla_ms
-                ):
-                    f_miss[idx] += absorbed
-                if amount > 0.0 and level == len(path) - 1:
-                    # Reached the holder and still overflowing: blocked.
-                    unserved[partition] += amount
-                    f_hops[idx] += amount * level
-                    f_kms[idx] += amount * km
-                    if latency is not None:
-                        f_miss[idx] += amount  # blocked queries always miss
-                    amount = 0.0
-                amounts[idx] = amount
+                    hop_f += take * hops
+                    km_f += take * km
+                    if (
+                        latency is not None
+                        and latency.response_ms(km, hops) > latency.sla_ms
+                    ):
+                        miss_f += take
+            if amount > 0.0:
+                unserved[partition] += amount
+                if latency is not None:
+                    miss_f += amount  # blocked queries always miss
+            flow_hops.append(hop_f)
+            flow_kms.append(km_f)
+            flow_miss.append(miss_f)
+            continue
+        path = router.path(origin, holder)
+        if work is not None:
+            work.graph_hops += len(path)
+        flows.append((origin, path, float(row[origin])))
+        max_levels = max(max_levels, len(path))
+    amounts = [f[2] for f in flows]
+    f_hops = [0.0] * len(flows)
+    f_kms = [0.0] * len(flows)
+    f_miss = [0.0] * len(flows)
+    for level in range(max_levels):
+        for idx, (origin, path, _) in enumerate(flows):
+            amount = amounts[idx]
+            if amount <= 0.0 or level >= len(path):
+                continue
+            dc = path[level]
+            # Eq. 8's arriving-flow traffic, including the origin's own
+            # full query load at level 0 (Eq. 5: tr_ijj = q_ij).
+            traffic_row[dc] += amount
+            entry = amount
+            for sid in dc_servers.get(dc, ()):
+                if amount <= 0.0:
+                    break
+                cap = remaining.get(sid, 0.0)
+                if cap <= 0.0:
+                    continue
+                take = min(cap, amount)
+                remaining[sid] = cap - take
+                served_row[sid] += take
+                amount -= take
+            # One hop/distance/SLA term per (flow, level): everything
+            # absorbed at this datacenter shares the same hop count
+            # and origin distance, so the level's absorption is
+            # charged with a single multiply-add (the columnar kernel
+            # computes the identical ``entry - amount`` difference).
+            absorbed = entry - amount
+            f_hops[idx] += absorbed * level
+            km = router.distance_km(origin, dc)
+            f_kms[idx] += absorbed * km
+            if (
+                latency is not None
+                and latency.response_ms(km, level) > latency.sla_ms
+            ):
+                f_miss[idx] += absorbed
+            if amount > 0.0 and level == len(path) - 1:
+                # Reached the holder and still overflowing: blocked.
+                unserved[partition] += amount
+                f_hops[idx] += amount * level
+                f_kms[idx] += amount * km
+                if latency is not None:
+                    f_miss[idx] += amount  # blocked queries always miss
+                amount = 0.0
+            amounts[idx] = amount
     flow_hops.extend(f_hops)
     flow_kms.extend(f_kms)
     flow_miss.extend(f_miss)

@@ -29,7 +29,6 @@ from .anomalies import (
 )
 from .exporters import (
     chrome_trace_from_events,
-    chrome_trace_from_profiler,
     registry_from_events,
     to_chrome_trace,
     to_prometheus,
@@ -66,7 +65,6 @@ __all__ = [
     "attribute_violations",
     "build_lineage",
     "chrome_trace_from_events",
-    "chrome_trace_from_profiler",
     "detect_anomalies",
     "detect_churn_hotspots",
     "detect_pingpong",

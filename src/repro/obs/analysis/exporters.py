@@ -3,8 +3,7 @@
 Two interchange formats every tooling ecosystem already reads:
 
 * **Chrome trace-event JSON** (the Trace Event Format consumed by
-  Perfetto and ``chrome://tracing``): phase-profiler epochs become
-  ``"X"`` complete events on a timeline, engine trace events become
+  Perfetto and ``chrome://tracing``): engine trace events become
   ``"i"`` instant events grouped per policy (process) and per event
   kind (thread), so a whole run can be scrubbed visually.
 * **Prometheus text exposition** (``# HELP`` / ``# TYPE`` + samples):
@@ -21,13 +20,11 @@ from __future__ import annotations
 import math
 from collections.abc import Iterable, Sequence
 
-from ..profiler import ENGINE_PHASES, PhaseProfiler
 from ..registry import InstrumentRegistry
 from ..trace import TraceEvent
 
 __all__ = [
     "chrome_trace_from_events",
-    "chrome_trace_from_profiler",
     "to_chrome_trace",
     "to_prometheus",
     "registry_from_events",
@@ -103,55 +100,12 @@ def chrome_trace_from_events(
     return out
 
 
-def chrome_trace_from_profiler(
-    profiler: PhaseProfiler, *, pid: int = 0
-) -> list[dict[str, object]]:
-    """Complete (``"X"``) events per profiled epoch phase, laid end to
-    end in real (wall-clock) durations so Perfetto shows where each
-    epoch's time went."""
-    samples = {name: list(profiler._samples.get(name, ())) for name in ENGINE_PHASES}
-    epochs = min((len(s) for s in samples.values()), default=0)
-    out: list[dict[str, object]] = [
-        {
-            "name": "process_name",
-            "ph": "M",
-            "pid": pid,
-            "tid": 0,
-            "args": {"name": "engine phases"},
-        }
-    ]
-    ts = 0.0
-    for epoch in range(epochs):
-        for phase in ENGINE_PHASES:
-            duration_us = samples[phase][epoch] * 1e6
-            out.append(
-                {
-                    "name": phase,
-                    "cat": "phase",
-                    "ph": "X",
-                    "ts": ts,
-                    "dur": duration_us,
-                    "pid": pid,
-                    "tid": 0,
-                    "args": {"epoch": epoch},
-                }
-            )
-            ts += duration_us
-    return out
-
-
 def to_chrome_trace(
-    events: Iterable[TraceEvent] = (),
-    profiler: PhaseProfiler | None = None,
-    *,
-    epoch_us: float = EPOCH_US,
+    events: Iterable[TraceEvent] = (), *, epoch_us: float = EPOCH_US
 ) -> dict[str, object]:
     """The full trace-event JSON object (``{"traceEvents": [...]}``)."""
-    trace_events = chrome_trace_from_events(events, epoch_us=epoch_us)
-    if profiler is not None:
-        trace_events.extend(chrome_trace_from_profiler(profiler))
     return {
-        "traceEvents": trace_events,
+        "traceEvents": chrome_trace_from_events(events, epoch_us=epoch_us),
         "displayTimeUnit": "ms",
         "otherData": {"generator": "repro.obs.analysis"},
     }

@@ -2,24 +2,22 @@
 
 Every observability surface writes sibling files next to a user-given
 output path (``out.tsdb.json`` → ``out.rfh.tsdb.json`` per policy,
-``out.prof.json`` → ``out.speedscope.json``, ...).  The suffix logic
-lives here once: compound artifact suffixes are recognized as a unit so
-a tag or replacement never lands *inside* ``.tsdb.json``.
+``out.fp.json`` → ``out.rfh.fp.json``, ...).  The suffix logic lives
+here once: compound artifact suffixes are recognized as a unit so a tag
+never lands *inside* ``.tsdb.json``.
 """
 
 from __future__ import annotations
 
 import pathlib
 
-__all__ = ["ARTIFACT_SUFFIXES", "split_suffix", "tagged_path", "derived_path"]
+__all__ = ["ARTIFACT_SUFFIXES", "split_suffix", "tagged_path"]
 
 #: Compound suffixes recognized as a unit, most specific first.
 ARTIFACT_SUFFIXES: tuple[str, ...] = (
     ".prov.json",
     ".tsdb.json",
-    ".prof.json",
     ".fp.json",
-    ".speedscope.json",
     ".jsonl",
     ".json",
 )
@@ -50,8 +48,3 @@ def tagged_path(path: str | pathlib.Path, tag: str) -> str:
     stem, suffix = split_suffix(path)
     return f"{stem}.{tag}{suffix}"
 
-
-def derived_path(path: str | pathlib.Path, suffix: str) -> str:
-    """Replace the artifact suffix with another (e.g. ``.speedscope.json``)."""
-    stem, _ = split_suffix(path)
-    return f"{stem}{suffix}"

@@ -49,16 +49,6 @@ class PhaseStats:
     p50: float
     p95: float
 
-    def to_dict(self) -> dict[str, float | int | str]:
-        return {
-            "phase": self.phase,
-            "count": self.count,
-            "total": self.total,
-            "mean": self.mean,
-            "p50": self.p50,
-            "p95": self.p95,
-        }
-
 
 def _percentile(ordered: list[float], q: float) -> float:
     """Linearly-interpolated percentile of an already-sorted sample.
@@ -121,25 +111,11 @@ class PhaseProfiler:
             name: _PhaseTimer(self, name) for name in ENGINE_PHASES
         }
 
-    def phase(self, name: str):
-        """Context manager timing one entry of ``name``."""
-        timer = self._timers.get(name)
-        if timer is None:  # a caller-defined phase outside the engine's six
-            self._samples[name] = self._samples.get(name, [])
-            timer = self._timers[name] = _PhaseTimer(self, name)
-        return timer
-
-    def span(self, name: str) -> _NullTimer:
-        """Nested kernel spans are a no-op here; the perf subsystem's
-        :class:`~repro.obs.perf.HotPathProfiler` overrides this, so
-        span sites can call it on any attached profiler."""
-        return _NULL_TIMER
+    def phase(self, name: str) -> _PhaseTimer:
+        """Context manager timing one entry of engine phase ``name``."""
+        return self._timers[name]
 
     # ------------------------------------------------------------------
-    def epochs_profiled(self) -> int:
-        """Number of samples of the first engine phase (== epochs run)."""
-        return len(self._samples[ENGINE_PHASES[0]])
-
     def latest(self) -> dict[str, float]:
         """The most recent sample of every phase that has one.
 
@@ -169,22 +145,6 @@ class PhaseProfiler:
             )
         return out
 
-    def call_counts(self) -> dict[str, int]:
-        """Entries recorded per phase (how often each phase ran)."""
-        return {name: len(samples) for name, samples in self._samples.items()}
-
-    def merge(self, other: "PhaseProfiler") -> None:
-        """Fold another profiler's samples into this one.
-
-        Aggregates timing across runs (e.g. the four policies of a
-        ``compare``, or repeated benchmark rounds) without losing the
-        per-sample distribution the percentiles are computed from.
-        """
-        for name, samples in other._samples.items():
-            if name not in self._samples:
-                self.phase(name)  # registers the phase with this class's timer
-            self._samples[name].extend(samples)
-
     def reset(self) -> None:
         for samples in self._samples.values():
             samples.clear()
@@ -213,15 +173,6 @@ class NullProfiler:
 
     def phase(self, name: str) -> _NullTimer:
         return _NULL_TIMER
-
-    def span(self, name: str) -> _NullTimer:
-        return _NULL_TIMER
-
-    def epochs_profiled(self) -> int:
-        return 0
-
-    def call_counts(self) -> dict[str, int]:
-        return {}
 
     def latest(self) -> dict[str, float]:
         return {}

@@ -85,8 +85,8 @@ POLARITY: tuple[tuple[str, int], ...] = (
     # Families by prefix.
     ("phase_s/*", -1),
     # Work counters are algorithmic observations: more work at equal
-    # output is worth seeing, not worth gating (repro perfdiff
-    # --gate-counters exists for the strict stance).
+    # output is worth seeing, not worth gating (the e2e benchmark's
+    # traced counts are compared exactly across commits).
     ("work/*", 0),
     # Decision-mix columns are polarity-neutral: replicating for a
     # different *reason* is a behaviour change worth seeing, but neither

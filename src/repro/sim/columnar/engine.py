@@ -119,7 +119,7 @@ class ColumnarSimulation(Simulation):
         self._refresh_server_arrays()
         if self._down_links:
             # Degraded WAN: unreachable origins take the scalar walk's
-            # routing-span branch; delegate the whole epoch.
+            # cut-side branch; delegate the whole epoch.
             return super()._serve_epoch(batch)
         state = self._state
         if state.version != self._csr_version:
@@ -139,15 +139,14 @@ class ColumnarSimulation(Simulation):
             self._holder_dc_cache = self._dc_of_array[state.holder]
             self._csr_version = state.version
         assert self._csr is not None
-        with self.profiler.span("columnar-serve"):
-            return serve_columnar(
-                batch,
-                self._holder_dc_cache,
-                self._csr,
-                self._tables,
-                self.cluster.num_servers,
-                work=self.work,
-            )
+        return serve_columnar(
+            batch,
+            self._holder_dc_cache,
+            self._csr,
+            self._tables,
+            self.cluster.num_servers,
+            work=self.work,
+        )
 
     def _blocking_probabilities(self, load: np.ndarray) -> np.ndarray:
         self._refresh_server_arrays()

@@ -44,7 +44,7 @@ from ...core.traffic import CellMatrix, ServiceResult
 from .tables import RouterTables
 
 if TYPE_CHECKING:
-    from ...obs.perf.counters import WorkCounters
+    from ...obs.perf import WorkCounters
     from ...workload.query import QueryBatch
 
 __all__ = ["SlotCSR", "build_slot_csr", "serve_columnar", "erlang_b_vector"]

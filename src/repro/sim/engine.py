@@ -37,7 +37,7 @@ if TYPE_CHECKING:  # imported lazily at runtime (chaos imports sim.events)
     from ..chaos.schedule import ChaosSchedule
     from ..consistency.tracker import ConsistencySummary
     from ..metrics.availability_metric import AvailabilitySummary
-    from ..obs.perf.counters import WorkCounters
+    from ..obs.perf import WorkCounters
     from ..obs.provenance.recorder import ProvenanceRecorder
     from ..obs.timeseries import TimeseriesRecorder
     from ..staticcheck.sanitizer import DeterminismSanitizer
@@ -164,7 +164,7 @@ class Simulation:
         chain.  Two same-seed runs can then be diffed down to the first
         divergent epoch and component (``repro sanitize``).
     work:
-        Optional :class:`~repro.obs.perf.counters.WorkCounters`; when
+        Optional :class:`~repro.obs.perf.WorkCounters`; when
         attached, the engine and the kernels it drives count units of
         algorithmic work (partitions scanned, decisions evaluated,
         actions applied, ring lookups, graph hops, RNG draws per
@@ -283,14 +283,12 @@ class Simulation:
         self.policy_name: str = getattr(
             self.policy, "name", type(self.policy).__name__
         )
-        # Perf instrumentation hand-off: policies that support it receive
-        # the kernel-span profiler and work counters (duck-typed so the
-        # ReplicationPolicy protocol stays unchanged).
+        # Work-counter hand-off: policies that count their decisions
+        # receive the counters (duck-typed so the ReplicationPolicy
+        # protocol stays unchanged).
         attach = getattr(self.policy, "attach_perf", None)
-        if attach is not None and (
-            work is not None or getattr(self.profiler, "supports_spans", False)
-        ):
-            attach(profiler=self.profiler, work=work)
+        if attach is not None and work is not None:
+            attach(work=work)
         # Provenance hand-off (same duck-typed pattern): policies without
         # an instrumented decision tree still get ledger coverage through
         # the apply phase's fate notes (synthesized minimal records).
@@ -694,7 +692,6 @@ class Simulation:
             holder_sid=holder_sid,
             latency=self.latency,
             work=self.work,
-            profiler=self.profiler,
         )
 
     def _current_layouts(
@@ -1034,9 +1031,8 @@ class Simulation:
         restored: int,
         consistency: "ConsistencySummary | None" = None,
     ) -> dict[str, float]:
-        with self.profiler.span("storage-accounting"):
-            alive_mask = self._alive_mask_array()
-            summary = self._availability_summary()
+        alive_mask = self._alive_mask_array()
+        summary = self._availability_summary()
         latency = self.latency.summarize_epoch(
             result.distance_sum_km,
             result.hop_sum,

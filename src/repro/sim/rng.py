@@ -35,8 +35,8 @@ def stable_hash32(name: str) -> int:
 class _CountingStream:
     """Forwarding proxy that counts method invocations on a stream.
 
-    The perf work-counter model (``repro.obs.perf``) wants "RNG draws
-    per stream" without touching any draw site: the proxy forwards
+    The work counters (:class:`repro.obs.perf.WorkCounters`) want "RNG
+    draws per stream" without touching any draw site: the proxy forwards
     every attribute to the real generator and bumps a shared counter
     once per *method call* (one vectorised ``poisson(size=N)`` call is
     one unit of work — the cost model counts kernel invocations, not

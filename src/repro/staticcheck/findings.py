@@ -72,10 +72,9 @@ RULES: dict[str, Rule] = {
             "`time.time()`, `perf_counter()` and `datetime.now()` differ "
             "between runs by construction; any value derived from them "
             "that reaches simulation state or output breaks bit-identical "
-            "replay.  Timing belongs in `obs/profiler.py` and "
-            "`obs/perf/profiler.py`, which are measurement-only by "
-            "contract.",
-            exempt_paths=("obs/profiler.py", "obs/perf/profiler.py"),
+            "replay.  Timing belongs in `obs/profiler.py`, which is "
+            "measurement-only by contract.",
+            exempt_paths=("obs/profiler.py",),
         ),
         Rule(
             "REP003",

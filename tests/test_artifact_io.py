@@ -28,7 +28,6 @@ from repro.artifact import atomic_write
 from repro.cli import main
 from repro.metrics.collector import MetricsCollector
 from repro.metrics.export import to_json
-from repro.obs.perf.artifact import PerfProfile
 from repro.obs.provenance import ProvenanceRecorder
 from repro.obs.provenance import ledger as ledger_module
 from repro.obs.timeseries.artifact import Marker, TsdbArtifact
@@ -208,13 +207,6 @@ def _provenance_artifact():
     return recorder.artifact()
 
 
-def _profile() -> PerfProfile:
-    return PerfProfile(
-        meta={"policy": "rfh"},
-        nodes=[{"stack": ["serve"], "count": 2, "total_s": 0.5, "self_s": 0.5}],
-    )
-
-
 def _collector() -> MetricsCollector:
     metrics = MetricsCollector()
     metrics.record_epoch({"utilization": 0.5})
@@ -226,8 +218,6 @@ _WRITERS = {
     "tsdb": lambda path: TsdbArtifact(epochs=np.arange(2), columns={"x": np.ones(2)}).save(path),
     "prov": lambda path: _provenance_artifact().save(path),
     "fp": lambda path: FingerprintTrail(meta={"seed": 1}).save(path),
-    "prof": lambda path: _profile().save(path),
-    "speedscope": lambda path: _profile().save_speedscope(path),
     "sweep": lambda path: SweepArtifact(manifest=SweepManifest(seeds=(1,))).save(path),
     "sweep-manifest": lambda path: SweepManifest(seeds=(1,)).save(path),
     "lint-baseline": lambda path: Baseline().save(path),
@@ -248,12 +238,6 @@ def _tsdb(inputs: pathlib.Path) -> str:
     return str(path)
 
 
-def _prof(inputs: pathlib.Path) -> str:
-    path = inputs / "run.prof.json"
-    _profile().save(path)
-    return str(path)
-
-
 def _prov(inputs: pathlib.Path) -> str:
     path = inputs / "run.prov.json"
     _provenance_artifact().save(path)
@@ -268,13 +252,8 @@ _CLI_OUTPUTS = {
     "analyze": lambda inputs, target: ["analyze", _trace(inputs), "--out", target],
     "diff": lambda inputs, target: ["diff", _tsdb(inputs), _tsdb(inputs), "--out", target],
     "dashboard": lambda inputs, target: ["dashboard", _tsdb(inputs), "--out", target],
-    "perfdiff": lambda inputs, target: ["perfdiff", _prof(inputs), _prof(inputs), "--out", target],
     "explain": lambda inputs, target: [
         "explain", _prov(inputs), "--partition", "1", "--out", target
-    ],
-    "flamegraph": lambda inputs, target: [
-        "profile", *_TINY, "--no-alloc", "--out", str(inputs / "run.prof.json"),
-        "--speedscope", "", "--flamegraph", target,
     ],
     "sweep-report": lambda inputs, target: [
         "sweep", "--policies", "rfh", "--seeds", "1", *_TINY, "--out", str(inputs / "sweep"),

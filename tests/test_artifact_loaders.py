@@ -15,7 +15,6 @@ from hypothesis import given, settings
 from repro.errors import ProvenanceError, SimulationError, SweepError, TsdbError
 from repro.metrics.collector import MetricsCollector
 from repro.metrics.export import from_json, to_json
-from repro.obs.perf.artifact import PerfProfile, ProfileError
 from repro.obs.provenance import ProvenanceRecorder
 from repro.obs.provenance.artifact import ProvArtifact
 from repro.obs.timeseries.artifact import Marker, TsdbArtifact
@@ -31,7 +30,6 @@ from repro.sweep.worker import CELL_ARTIFACTS, load_cell_record
 LOADERS = [
     pytest.param(FingerprintTrail.load, FingerprintError, id="fingerprint"),
     pytest.param(TsdbArtifact.load, TsdbError, id="tsdb"),
-    pytest.param(PerfProfile.load, ProfileError, id="prof"),
     pytest.param(SweepArtifact.load, SweepError, id="sweep"),
     pytest.param(ProvArtifact.load, ProvenanceError, id="prov"),
     pytest.param(Baseline.load, BaselineError, id="lint-baseline"),
@@ -87,25 +85,6 @@ def test_malformed_metrics_json_raises_simulation_error(payload, tmp_path) -> No
         from_json(path)
 
 
-@pytest.mark.parametrize("section", ["phases", "meta", "counters", "allocations"])
-def test_profile_object_section_must_be_an_object(section: str) -> None:
-    payload = {"format": "repro-prof", "version": 1, section: [1]}
-    with pytest.raises(ProfileError, match=section):
-        PerfProfile.from_dict(payload)
-
-
-def test_profile_nodes_must_be_an_array() -> None:
-    payload = {"format": "repro-prof", "version": 1, "nodes": {"a": 1}}
-    with pytest.raises(ProfileError, match="nodes"):
-        PerfProfile.from_dict(payload)
-
-
-def test_profile_empty_sections_still_read_as_empty() -> None:
-    payload = {"format": "repro-prof", "version": 1, "meta": [], "nodes": None}
-    profile = PerfProfile.from_dict(payload)
-    assert profile.meta == {} and profile.nodes == []
-
-
 # ----------------------------------------------------------------------
 # Truncated files: every cut of a saved artifact raises the typed error
 # ----------------------------------------------------------------------
@@ -143,15 +122,6 @@ def _saved_trail(path: pathlib.Path) -> None:
     ).save(path)
 
 
-def _saved_profile(path: pathlib.Path) -> None:
-    PerfProfile(
-        meta={"policy": "rfh"},
-        phases={"serve": {"count": 2, "total": 0.5, "mean": 0.25, "p50": 0.25, "p95": 0.3}},
-        nodes=[{"stack": ["serve"], "count": 2, "total_s": 0.5, "self_s": 0.5}],
-        counters={"partitions_scanned": 128.0},
-    ).save(path)
-
-
 def _manifest() -> SweepManifest:
     return SweepManifest(policies=("rfh", "random"), seeds=(1, 2), epochs=6)
 
@@ -175,7 +145,6 @@ SAVED = {
     "prov": (_saved_provenance, ProvArtifact.load, ProvenanceError),
     "tsdb": (_saved_timeseries, TsdbArtifact.load, TsdbError),
     "fingerprint": (_saved_trail, FingerprintTrail.load, FingerprintError),
-    "prof": (_saved_profile, PerfProfile.load, ProfileError),
     "sweep": (_saved_sweep, SweepArtifact.load, SweepError),
     "sweep-manifest": (lambda path: _manifest().save(path), SweepManifest.load, SweepError),
     "lint-baseline": (_saved_baseline, Baseline.load, BaselineError),

@@ -158,7 +158,6 @@ class TestProfiler:
         sim.run(6)
         timings = profiler.phase_timings()
         assert tuple(timings) == ENGINE_PHASES
-        assert profiler.epochs_profiled() == 6
         for stats in timings.values():
             assert stats.count == 6
             assert stats.total >= 0.0
@@ -184,7 +183,6 @@ class TestProfiler:
         with profiler.phase("serve"):
             pass
         assert profiler.phase_timings() == {}
-        assert profiler.epochs_profiled() == 0
 
 
 # ----------------------------------------------------------------------

@@ -6,12 +6,7 @@ import pathlib
 
 import pytest
 
-from repro.obs.paths import (
-    ARTIFACT_SUFFIXES,
-    derived_path,
-    split_suffix,
-    tagged_path,
-)
+from repro.obs.paths import ARTIFACT_SUFFIXES, split_suffix, tagged_path
 
 
 class TestSplitSuffix:
@@ -33,7 +28,7 @@ class TestSplitSuffix:
         assert split_suffix("./out.fp.json") == ("./out", ".fp.json")
 
     def test_absolute_and_pathlib_inputs(self):
-        assert split_suffix("/tmp/a/b.prof.json") == ("/tmp/a/b", ".prof.json")
+        assert split_suffix("/tmp/a/b.prov.json") == ("/tmp/a/b", ".prov.json")
         stem, suffix = split_suffix(pathlib.PurePosixPath("x/y.jsonl"))
         assert (stem, suffix) == ("x/y", ".jsonl")
 
@@ -85,20 +80,3 @@ class TestTaggedPath:
         assert tagged_path("outfile", "rfh") == "outfile.rfh"
         assert tagged_path("notes.txt", "rfh") == "notes.txt.rfh"
 
-
-class TestDerivedPath:
-    def test_replaces_compound_suffix(self):
-        assert (
-            derived_path("run.prof.json", ".speedscope.json")
-            == "run.speedscope.json"
-        )
-        assert derived_path("out.tsdb.json", ".fp.json") == "out.fp.json"
-
-    def test_multi_dot_and_relative_stems(self):
-        assert (
-            derived_path("runs/a.b/out.v1.prof.json", ".speedscope.json")
-            == "runs/a.b/out.v1.speedscope.json"
-        )
-
-    def test_unrecognized_suffix_appends(self):
-        assert derived_path("plain", ".json") == "plain.json"

@@ -24,7 +24,7 @@ from repro.experiments.scenarios import (
     failure_recovery_scenario,
     random_query_scenario,
 )
-from repro.obs.paths import derived_path, split_suffix, tagged_path
+from repro.obs.paths import split_suffix, tagged_path
 from repro.obs.provenance import (
     DEFAULT_BUDGET,
     CandidateEval,
@@ -1047,7 +1047,8 @@ class TestPaths:
         [
             ("out.tsdb.json", ("out", ".tsdb.json")),
             ("out.prov.json", ("out", ".prov.json")),
-            ("dir/run.prof.json", ("dir/run", ".prof.json")),
+            # .prof.json is no artifact suffix: only the plain .json splits off.
+            ("dir/run.prof.json", ("dir/run.prof", ".json")),
             ("plain.json", ("plain", ".json")),
             ("noext", ("noext", "")),
             (".json", (".json", "")),
@@ -1060,13 +1061,6 @@ class TestPaths:
         assert tagged_path("out.tsdb.json", "rfh") == "out.rfh.tsdb.json"
         assert tagged_path("a/b/out.prov.json", "owner") == "a/b/out.owner.prov.json"
         assert tagged_path("noext", "rfh") == "noext.rfh"
-
-    def test_derived_path_swaps_suffix(self):
-        assert derived_path("run.prof.json", ".flame.html") == "run.flame.html"
-        assert (
-            derived_path("run.prof.json", ".speedscope.json")
-            == "run.speedscope.json"
-        )
 
 
 # ----------------------------------------------------------------------

@@ -335,7 +335,7 @@ class TestEngineIntegration:
 
     def test_instrument_scalars_and_phase_timings_sampled(self):
         from repro.obs import PhaseProfiler
-        from repro.obs.perf.counters import WorkCounters
+        from repro.obs.perf import WorkCounters
         from repro.sim.engine import Simulation
 
         rec = TimeseriesRecorder()
