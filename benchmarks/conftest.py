@@ -1,11 +1,13 @@
 """Shared benchmark fixtures.
 
-Every benchmark regenerates one of the paper's figures through
-:mod:`repro.experiments.figures` at full evaluation scale (Table I
-parameters, paper epoch counts), times the regeneration once
-(``benchmark.pedantic`` — the workload is deterministic, repeated rounds
-would measure the same thing), prints the series the paper reports, and
-asserts the figure's qualitative shape checks.
+The experiment benchmarks regenerate the paper's evaluation through
+:mod:`repro.experiments` at full evaluation scale (Table I parameters,
+paper epoch counts): every figure from one run per scenario
+(``bench_figures.py``), the ablations, the SLA scoreboard and the surge
+studies.  Each times its regeneration once (``benchmark.pedantic`` —
+the workload is deterministic, repeated rounds would measure the same
+thing), prints the values the paper reports, and asserts the paper's
+qualitative shape checks.
 """
 
 from __future__ import annotations
@@ -24,17 +26,3 @@ def paper_config() -> SimulationConfig:
 def run_once(benchmark, func, *args, **kwargs):
     """Time ``func`` exactly once and return its result."""
     return benchmark.pedantic(func, args=args, kwargs=kwargs, rounds=1, iterations=1)
-
-
-def report(result) -> None:
-    """Print a figure result the way the paper tabulates it."""
-    print(f"\n=== {result.figure} ===")
-    for name, value in result.notes.items():
-        print(f"  {name}: {value:.3f}")
-    for name, ok in result.checks.items():
-        print(f"  [{'ok' if ok else 'FAIL'}] {name}")
-
-
-def assert_shape(result) -> None:
-    failed = result.failed_checks()
-    assert not failed, f"{result.figure} shape checks failed: {failed}"

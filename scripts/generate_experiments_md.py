@@ -1,9 +1,11 @@
 #!/usr/bin/env python3
 """Regenerate EXPERIMENTS.md from live runs of every figure harness.
 
-Runs all eight figure experiments at paper scale plus the three
-ablations and writes the paper-versus-measured record.  Takes a few
-minutes; the output is deterministic for a fixed seed.
+Regenerates all eight figures at paper scale from one run per scenario,
+then the multi-seed sweep, the three ablations, the chaos scenarios and
+the trace analysis, and writes the paper-versus-measured record.  Takes
+about half a minute on a 2-vCPU host; the output is deterministic for a
+fixed seed.
 
 Run:  python scripts/generate_experiments_md.py [output-path]
 """
@@ -283,7 +285,7 @@ def sweep_section(
 def main() -> None:
     out = pathlib.Path(sys.argv[1]) if len(sys.argv) > 1 else pathlib.Path("EXPERIMENTS.md")
     config = SimulationConfig(seed=7)
-    print("Regenerating all figures (this takes a few minutes)...")
+    print("Regenerating all figures (one run per scenario)...")
     results = all_figures(config)
     body = render_report(results, header=HEADER)
     print("Running multi-seed sweep (mean ± CI Table I)...")

@@ -869,28 +869,19 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
 
 
 def _cmd_figures(args: argparse.Namespace) -> int:
-    from .experiments import figures as fig_mod
+    from .experiments.figures import FIGURES, all_figures
     from .experiments.report import render_figure
 
-    registry = {
-        "fig3": fig_mod.fig3_utilization,
-        "fig4": fig_mod.fig4_replica_number,
-        "fig5": fig_mod.fig5_replication_cost,
-        "fig6": fig_mod.fig6_migration_times,
-        "fig7": fig_mod.fig7_migration_cost,
-        "fig8": fig_mod.fig8_load_imbalance,
-        "fig9": fig_mod.fig9_path_length,
-        "fig10": fig_mod.fig10_failure_recovery,
-    }
-    selected = args.only if args.only else sorted(registry)
-    unknown = [name for name in selected if name not in registry]
+    selected = args.only if args.only else sorted(FIGURES)
+    unknown = [name for name in selected if name not in FIGURES]
     if unknown:
-        print(f"unknown figures: {unknown}; have {sorted(registry)}", file=sys.stderr)
+        print(f"unknown figures: {unknown}; have {sorted(FIGURES)}", file=sys.stderr)
         return 2
-    config = SimulationConfig(seed=args.seed)
+    # Only the runs the selected figures read are built.
+    results = all_figures(SimulationConfig(seed=args.seed), only=selected)
     failures = 0
     for name in selected:
-        result = registry[name](config)  # only the requested figures run
+        result = results[name]
         print(render_figure(result))
         failures += len(result.failed_checks())
     print(f"{'OK' if failures == 0 else 'FAILED'}: {failures} shape checks failed")

@@ -6,7 +6,7 @@
 * :mod:`repro.experiments.comparison` — run all four policies on the
   *identical* recorded trace;
 * :mod:`repro.experiments.figures` — ``fig3`` .. ``fig10`` functions
-  that regenerate each figure's series and check its qualitative shape;
+  that check each figure's qualitative shape on the runs they are given;
 * :mod:`repro.experiments.report` — markdown rendering for
   EXPERIMENTS.md.
 """

@@ -8,7 +8,7 @@ recorded trace through four fresh simulations.
 from __future__ import annotations
 
 from collections.abc import Callable
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -34,6 +34,17 @@ class ComparisonResult:
     def policies(self) -> tuple[str, ...]:
         return tuple(self.results)
 
+    def head(self, epochs: int) -> ComparisonResult:
+        """Every run's metrics cut to their first ``epochs`` epochs
+        (1..recorded); each ``simulation`` stays the full run."""
+        return ComparisonResult(
+            scenario=self.scenario,
+            results={
+                policy: replace(res, metrics=res.metrics.head(epochs))
+                for policy, res in self.results.items()
+            },
+        )
+
     def series_table(self, name: str) -> dict[str, np.ndarray]:
         """One metric series for every policy."""
         return {policy: res.series(name) for policy, res in self.results.items()}
@@ -41,13 +52,6 @@ class ComparisonResult:
     def steady_table(self, name: str, tail: int = 30) -> dict[str, float]:
         """Steady-state value of one metric for every policy."""
         return {policy: res.steady(name, tail) for policy, res in self.results.items()}
-
-    def total_table(self, name: str) -> dict[str, float]:
-        """Whole-run total of one per-epoch metric for every policy."""
-        return {
-            policy: float(res.series(name).sum())
-            for policy, res in self.results.items()
-        }
 
     def ranking(self, name: str, tail: int = 30, descending: bool = True) -> list[str]:
         """Policies ordered by steady-state value of a metric."""

@@ -1,9 +1,12 @@
 """Figure regeneration harnesses (paper Section III, Figs. 3–10).
 
-Each ``figN_*`` function reruns the figure's experiment and returns a
-:class:`FigureResult` holding the per-policy series for every panel plus
-a dictionary of *shape checks* — the qualitative claims the paper makes
-about that figure (who wins, what collapses where, what recovers).
+Each ``figN_*`` function is a pure function of the runs it is given:
+it returns a :class:`FigureResult` holding the per-policy series for
+every panel plus a dictionary of *shape checks* — the qualitative
+claims the paper makes about that figure (who wins, what collapses
+where, what recovers).  :func:`all_figures` runs each scenario once per
+policy, as the paper compares the four algorithms on one recorded trace
+per setting (§III), and hands every figure the runs it reads.
 Benchmarks and EXPERIMENTS.md are generated from these results, and the
 checks double as regression tests for the reproduction.
 
@@ -14,21 +17,23 @@ orderings and dynamics the paper reports.
 
 from __future__ import annotations
 
+from collections.abc import Iterable
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from ..config import SimulationConfig
-from .comparison import POLICIES, ComparisonResult, compare_policies
-from .runner import run_experiment
+from ..sim.events import MassFailureEvent
+from .comparison import ComparisonResult, compare_policies
+from .runner import ExperimentResult, run_experiment
 from .scenarios import (
-    DEFAULT_FAILURE_EPOCH,
     failure_recovery_scenario,
     flash_crowd_scenario,
     random_query_scenario,
 )
 
 __all__ = [
+    "FIGURES",
     "FigureResult",
     "fig3_utilization",
     "fig4_replica_number",
@@ -80,27 +85,21 @@ def _stage_windows(epochs: int, stages: int = 4) -> list[tuple[int, int]]:
 # ----------------------------------------------------------------------
 # Fig. 3 — replica utilization rate
 # ----------------------------------------------------------------------
-def fig3_utilization(
-    config: SimulationConfig,
-    epochs_random: int = 250,
-    epochs_flash: int = 400,
-    policies: tuple[str, ...] = POLICIES,
-) -> FigureResult:
+def fig3_utilization(random: ComparisonResult, flash: ComparisonResult) -> FigureResult:
     """Fig. 3(a)/(b): average replica utilization, both query settings.
 
     Paper claims checked: under random query RFH is highest and random
     lowest, with the full ordering rfh > request > owner > random; under
     flash crowd the request-oriented algorithm collapses after the first
     stage change while RFH dips once and recovers to roughly its
-    pre-shift level.
+    pre-shift level.  The stage windows and the shift come from the
+    flash run's length.
     """
-    random_cmp = compare_policies(random_query_scenario(config, epochs_random), policies)
-    flash_cmp = compare_policies(flash_crowd_scenario(config, epochs_flash), policies)
-
-    util_a = random_cmp.series_table("utilization")
-    util_b = flash_cmp.series_table("utilization")
+    util_a = random.series_table("utilization")
+    util_b = flash.series_table("utilization")
     steady_a = {p: _steady(s) for p, s in util_a.items()}
 
+    epochs_flash = len(util_b["rfh"])
     windows = _stage_windows(epochs_flash)
     s1 = {p: float(s[windows[0][0] : windows[0][1]].mean()) for p, s in util_b.items()}
     s2 = {p: float(s[windows[1][0] : windows[1][1]].mean()) for p, s in util_b.items()}
@@ -130,12 +129,7 @@ def fig3_utilization(
 # ----------------------------------------------------------------------
 # Fig. 4 — replica number
 # ----------------------------------------------------------------------
-def fig4_replica_number(
-    config: SimulationConfig,
-    epochs_random: int = 250,
-    epochs_flash: int = 400,
-    policies: tuple[str, ...] = POLICIES,
-) -> FigureResult:
+def fig4_replica_number(random: ComparisonResult, flash: ComparisonResult) -> FigureResult:
     """Fig. 4(a-d): total and per-partition replica counts.
 
     Paper claims checked: random needs the most replicas and request the
@@ -143,13 +137,10 @@ def fig4_replica_number(
     crowd RFH's count stays near its random-query level while the
     static algorithms inflate.
     """
-    random_cmp = compare_policies(random_query_scenario(config, epochs_random), policies)
-    flash_cmp = compare_policies(flash_crowd_scenario(config, epochs_flash), policies)
-
-    total_a = random_cmp.series_table("total_replicas")
-    total_b = flash_cmp.series_table("total_replicas")
-    avg_a = random_cmp.series_table("avg_replicas")
-    avg_b = flash_cmp.series_table("avg_replicas")
+    total_a = random.series_table("total_replicas")
+    total_b = flash.series_table("total_replicas")
+    avg_a = random.series_table("avg_replicas")
+    avg_b = flash.series_table("avg_replicas")
     end_a = {p: float(s[-1]) for p, s in total_a.items()}
     end_b = {p: float(s[-1]) for p, s in total_b.items()}
 
@@ -179,12 +170,7 @@ def fig4_replica_number(
 # ----------------------------------------------------------------------
 # Fig. 5 — replication cost
 # ----------------------------------------------------------------------
-def fig5_replication_cost(
-    config: SimulationConfig,
-    epochs_random: int = 150,
-    epochs_flash: int = 400,
-    policies: tuple[str, ...] = POLICIES,
-) -> FigureResult:
+def fig5_replication_cost(random: ComparisonResult, flash: ComparisonResult) -> FigureResult:
     """Fig. 5(a-d): cumulative total and per-replica replication cost.
 
     Paper claims checked: the random algorithm pays by far the highest
@@ -192,9 +178,6 @@ def fig5_replication_cost(
     and less than request per unit under flash crowd (long-distance
     request replication).
     """
-    random_cmp = compare_policies(random_query_scenario(config, epochs_random), policies)
-    flash_cmp = compare_policies(flash_crowd_scenario(config, epochs_flash), policies)
-
     def panels(cmp: ComparisonResult) -> tuple[dict, dict]:
         total = {
             p: cmp[p].metrics.series("replication_cost").cumulative() for p in cmp.policies()
@@ -208,8 +191,8 @@ def fig5_replication_cost(
             average[p] = cum_cost / cum_events
         return total, average
 
-    total_a, avg_a = panels(random_cmp)
-    total_b, avg_b = panels(flash_cmp)
+    total_a, avg_a = panels(random)
+    total_b, avg_b = panels(flash)
     end_total_a = {p: float(s[-1]) for p, s in total_a.items()}
     end_total_b = {p: float(s[-1]) for p, s in total_b.items()}
     end_avg_b = {p: float(s[-1]) for p, s in avg_b.items()}
@@ -239,12 +222,7 @@ def fig5_replication_cost(
 # ----------------------------------------------------------------------
 # Fig. 6 — migration times
 # ----------------------------------------------------------------------
-def fig6_migration_times(
-    config: SimulationConfig,
-    epochs_random: int = 250,
-    epochs_flash: int = 400,
-    policies: tuple[str, ...] = POLICIES,
-) -> FigureResult:
+def fig6_migration_times(random: ComparisonResult, flash: ComparisonResult) -> FigureResult:
     """Fig. 6(a-d): cumulative migration counts.
 
     Paper claims checked: request migrates the most in both settings;
@@ -252,15 +230,13 @@ def fig6_migration_times(
     membership changes; RFH migrates less than request; flash crowd
     forces more migrations than random query.
     """
-    random_cmp = compare_policies(random_query_scenario(config, epochs_random), policies)
-    flash_cmp = compare_policies(flash_crowd_scenario(config, epochs_flash), policies)
     total_a = {
-        p: random_cmp[p].metrics.series("migration_count").cumulative()
-        for p in random_cmp.policies()
+        p: random[p].metrics.series("migration_count").cumulative()
+        for p in random.policies()
     }
     total_b = {
-        p: flash_cmp[p].metrics.series("migration_count").cumulative()
-        for p in flash_cmp.policies()
+        p: flash[p].metrics.series("migration_count").cumulative()
+        for p in flash.policies()
     }
     end_a = {p: float(s[-1]) for p, s in total_a.items()}
     end_b = {p: float(s[-1]) for p, s in total_b.items()}
@@ -283,27 +259,20 @@ def fig6_migration_times(
 # ----------------------------------------------------------------------
 # Fig. 7 — migration cost
 # ----------------------------------------------------------------------
-def fig7_migration_cost(
-    config: SimulationConfig,
-    epochs_random: int = 150,
-    epochs_flash: int = 400,
-    policies: tuple[str, ...] = POLICIES,
-) -> FigureResult:
+def fig7_migration_cost(random: ComparisonResult, flash: ComparisonResult) -> FigureResult:
     """Fig. 7(a-d): cumulative migration cost.
 
     Paper claims checked: request pays the highest migration cost;
     random and owner pay zero; RFH pays less than request; flash crowd
     costs more than random query for the migrating algorithms.
     """
-    random_cmp = compare_policies(random_query_scenario(config, epochs_random), policies)
-    flash_cmp = compare_policies(flash_crowd_scenario(config, epochs_flash), policies)
     total_a = {
-        p: random_cmp[p].metrics.series("migration_cost").cumulative()
-        for p in random_cmp.policies()
+        p: random[p].metrics.series("migration_cost").cumulative()
+        for p in random.policies()
     }
     total_b = {
-        p: flash_cmp[p].metrics.series("migration_cost").cumulative()
-        for p in flash_cmp.policies()
+        p: flash[p].metrics.series("migration_cost").cumulative()
+        for p in flash.policies()
     }
     end_a = {p: float(s[-1]) for p, s in total_a.items()}
     end_b = {p: float(s[-1]) for p, s in total_b.items()}
@@ -325,22 +294,15 @@ def fig7_migration_cost(
 # ----------------------------------------------------------------------
 # Fig. 8 — load imbalance
 # ----------------------------------------------------------------------
-def fig8_load_imbalance(
-    config: SimulationConfig,
-    epochs_random: int = 300,
-    epochs_flash: int = 400,
-    policies: tuple[str, ...] = POLICIES,
-) -> FigureResult:
+def fig8_load_imbalance(random: ComparisonResult, flash: ComparisonResult) -> FigureResult:
     """Fig. 8(a/b): per-replica load imbalance (normalised Eq. 26).
 
     Paper claims checked: RFH's blocking-probability placement gives the
     best (lowest) load balance figure in both settings, and random — the
     fully blind placement — the worst.
     """
-    random_cmp = compare_policies(random_query_scenario(config, epochs_random), policies)
-    flash_cmp = compare_policies(flash_crowd_scenario(config, epochs_flash), policies)
-    imb_a = random_cmp.series_table("load_imbalance")
-    imb_b = flash_cmp.series_table("load_imbalance")
+    imb_a = random.series_table("load_imbalance")
+    imb_b = flash.series_table("load_imbalance")
     steady_a = {p: _steady(s) for p, s in imb_a.items()}
     steady_b = {p: _steady(s) for p, s in imb_b.items()}
 
@@ -358,12 +320,7 @@ def fig8_load_imbalance(
 # ----------------------------------------------------------------------
 # Fig. 9 — lookup path length
 # ----------------------------------------------------------------------
-def fig9_path_length(
-    config: SimulationConfig,
-    epochs_random: int = 100,
-    epochs_flash: int = 400,
-    policies: tuple[str, ...] = POLICIES,
-) -> FigureResult:
+def fig9_path_length(random: ComparisonResult, flash: ComparisonResult) -> FigureResult:
     """Fig. 9(a/b): mean lookup path length.
 
     Paper claims checked: every algorithm's path drops sharply from the
@@ -371,14 +328,14 @@ def fig9_path_length(
     next to the holder, so queries travel nearly the whole route); RFH
     ends shorter than owner in both settings.
     """
-    random_cmp = compare_policies(random_query_scenario(config, epochs_random), policies)
-    flash_cmp = compare_policies(flash_crowd_scenario(config, epochs_flash), policies)
-    path_a = random_cmp.series_table("path_length")
-    path_b = flash_cmp.series_table("path_length")
+    path_a = random.series_table("path_length")
+    path_b = flash.series_table("path_length")
     steady_a = {p: _steady(s, tail=20) for p, s in path_a.items()}
     steady_b = {p: _steady(s, tail=40) for p, s in path_b.items()}
     initial = {p: float(s[:3].mean()) for p, s in path_a.items()}
 
+    # The comparison's policy order: the mean's last bits depend on it.
+    policies = random.policies()
     mean_drop = float(
         np.mean([1.0 - steady_a[p] / max(initial[p], 1e-9) for p in policies])
     )
@@ -401,13 +358,9 @@ def fig9_path_length(
 # ----------------------------------------------------------------------
 # Fig. 10 — node failure and recovery
 # ----------------------------------------------------------------------
-def fig10_failure_recovery(
-    config: SimulationConfig,
-    epochs: int = 500,
-    failure_epoch: int = DEFAULT_FAILURE_EPOCH,
-    failure_count: int = 30,
-) -> FigureResult:
-    """Fig. 10: RFH under a mass failure.
+def fig10_failure_recovery(run: ExperimentResult, failure: MassFailureEvent) -> FigureResult:
+    """Fig. 10: RFH under a mass failure (``run``, whose scenario holds
+    ``failure``).
 
     "The number of replicas is keep increasing to meet the need of query
     load at first.  Then when the replicas number becomes stable, 30
@@ -415,15 +368,11 @@ def fig10_failure_recovery(
     decrease of replicas number.  ...  The replica number increases as
     time passes by, and reaches the same level as initial."
     """
-    scenario = failure_recovery_scenario(
-        config, epochs=epochs, failure_epoch=failure_epoch, failure_count=failure_count
-    )
-    result = run_experiment("rfh", scenario)
-    replicas = result.series("total_replicas")
-    alive = result.series("alive_servers")
+    replicas = run.series("total_replicas")
+    alive = run.series("alive_servers")
 
-    pre = float(replicas[failure_epoch - 30 : failure_epoch].mean())
-    drop = float(replicas[failure_epoch])
+    pre = float(replicas[failure.epoch - 30 : failure.epoch].mean())
+    drop = float(replicas[failure.epoch])
     final = float(replicas[-30:].mean())
     start = float(replicas[0])
 
@@ -431,11 +380,11 @@ def fig10_failure_recovery(
         "10 replica count grows initially": pre > 1.5 * start,
         "10 sharp drop at the failure epoch": drop < 0.85 * pre,
         # Server counts are exact integers stored as floats.
-        "10 servers actually removed": float(alive[failure_epoch]) == float(
-            alive[failure_epoch - 1]
-        ) - failure_count,
+        "10 servers actually removed": float(alive[failure.epoch]) == float(
+            alive[failure.epoch - 1]
+        ) - failure.count,
         "10 recovery to near pre-failure level": final >= 0.85 * pre,
-        "10 no partition stays lost": float(result.series("lost_partitions")[-1]) == 0.0,
+        "10 no partition stays lost": float(run.series("lost_partitions")[-1]) == 0.0,
     }
     notes = {
         "10 pre-failure replicas": pre,
@@ -447,15 +396,52 @@ def fig10_failure_recovery(
     )
 
 
-def all_figures(config: SimulationConfig) -> dict[str, FigureResult]:
-    """Regenerate every figure (used by the EXPERIMENTS.md generator)."""
-    return {
-        "fig3": fig3_utilization(config),
-        "fig4": fig4_replica_number(config),
-        "fig5": fig5_replication_cost(config),
-        "fig6": fig6_migration_times(config),
-        "fig7": fig7_migration_cost(config),
-        "fig8": fig8_load_imbalance(config),
-        "fig9": fig9_path_length(config),
-        "fig10": fig10_failure_recovery(config),
-    }
+#: Figs. 3–9: each harness and the random-query epochs it reads, the
+#: paper's run lengths (DESIGN.md §4).  All of them read the whole
+#: flash-crowd run, whose four stages scale with its length.
+_COMPARISON_FIGURES = {
+    "fig3": (fig3_utilization, 250),
+    "fig4": (fig4_replica_number, 250),
+    "fig5": (fig5_replication_cost, 150),
+    "fig6": (fig6_migration_times, 250),
+    "fig7": (fig7_migration_cost, 150),
+    "fig8": (fig8_load_imbalance, 300),
+    "fig9": (fig9_path_length, 100),
+}
+_FLASH_EPOCHS: int = 400
+_FAILURE_EPOCHS: int = 500
+
+#: Every figure :func:`all_figures` can build, in the paper's order.
+FIGURES: tuple[str, ...] = (*_COMPARISON_FIGURES, "fig10")
+
+
+def all_figures(
+    config: SimulationConfig, only: Iterable[str] | None = None
+) -> dict[str, FigureResult]:
+    """Regenerate the figures named in ``only`` (default: all of them).
+
+    Builds only the runs the selected figures read, once each on the
+    columnar engine (bit-identical to the scalar one).  A random-query
+    run's first ``n`` epochs are exactly the ``n``-epoch run (same trace
+    prefix, same seed), so one run as long as the longest selected
+    figure needs serves every figure.
+    """
+    selected = FIGURES if only is None else tuple(only)
+    unknown = [name for name in selected if name not in FIGURES]
+    if unknown:
+        raise ValueError(f"unknown figures: {unknown}")
+    results: dict[str, FigureResult] = {}
+    comparison = [name for name in _COMPARISON_FIGURES if name in selected]
+    if comparison:
+        longest = max(_COMPARISON_FIGURES[name][1] for name in comparison)
+        random = compare_policies(random_query_scenario(config, longest), engine="columnar")
+        flash = compare_policies(flash_crowd_scenario(config, _FLASH_EPOCHS), engine="columnar")
+        for name in comparison:
+            harness, epochs = _COMPARISON_FIGURES[name]
+            results[name] = harness(random.head(epochs), flash)
+    if "fig10" in selected:
+        scenario = failure_recovery_scenario(config, _FAILURE_EPOCHS)
+        (failure,) = scenario.events
+        run = run_experiment("rfh", scenario, engine="columnar")
+        results["fig10"] = fig10_failure_recovery(run, failure)
+    return results

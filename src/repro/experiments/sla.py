@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from ..config import SimulationConfig
-from .comparison import POLICIES, compare_policies
+from .comparison import compare_policies
 from .scenarios import random_query_scenario
 
 __all__ = ["SlaResult", "sla_comparison"]
@@ -44,7 +44,6 @@ class SlaResult:
 def sla_comparison(
     config: SimulationConfig,
     epochs: int = 250,
-    policies: tuple[str, ...] = POLICIES,
     full_service_floor: float = 0.97,
 ) -> SlaResult:
     """Run the random-query comparison and score SLA attainment.
@@ -58,25 +57,23 @@ def sla_comparison(
     * among the full-service algorithms, RFH gets there with the
       smallest replica footprint (that is the "high-efficient" claim).
     """
-    cmp = compare_policies(random_query_scenario(config, epochs), policies)
+    cmp = compare_policies(random_query_scenario(config, epochs))
     attainment = cmp.steady_table("sla_attainment")
     latency = cmp.steady_table("mean_latency_ms")
-    replicas = {p: cmp[p].final("total_replicas") for p in policies}
+    replicas = {p: cmp[p].final("total_replicas") for p in cmp.policies()}
 
-    full_service = [p for p in ("rfh", "owner", "random") if p in policies]
-    checks: dict[str, bool] = {}
-    if full_service:
-        checks["full-service algorithms clear the attainment floor"] = all(
+    full_service = ("rfh", "owner", "random")
+    checks = {
+        "full-service algorithms clear the attainment floor": all(
             attainment[p] >= full_service_floor for p in full_service
-        )
-    if "request" in policies and full_service:
-        checks["request serves only the majority"] = attainment["request"] < min(
+        ),
+        "request serves only the majority": attainment["request"] < min(
             attainment[p] for p in full_service
-        )
-    if set(full_service) >= {"rfh", "owner", "random"}:
-        checks["rfh cheapest full-service footprint"] = replicas["rfh"] == min(
+        ),
+        "rfh cheapest full-service footprint": replicas["rfh"] == min(
             replicas[p] for p in full_service
-        )
+        ),
+    }
     return SlaResult(
         attainment=attainment, latency_ms=latency, replicas=replicas, checks=checks
     )

@@ -85,6 +85,18 @@ class MetricsCollector:
         """Shortcut for ``series(name).to_array()``."""
         return self.series(name).to_array()
 
+    def head(self, epochs: int) -> MetricsCollector:
+        """A new collector holding every series' first ``epochs`` values."""
+        if not 1 <= epochs <= self._epochs_recorded:
+            raise SimulationError(
+                f"head({epochs}) outside 1..{self._epochs_recorded} recorded epochs"
+            )
+        columns = {name: series.values for name, series in self._series.items()}
+        out = MetricsCollector()
+        for epoch in range(epochs):
+            out.record_epoch({name: values[epoch] for name, values in columns.items()})
+        return out
+
     def as_dict(self) -> dict[str, list[float]]:
         """All series as plain lists (JSON-friendly)."""
         return {name: series.values for name, series in sorted(self._series.items())}

@@ -126,6 +126,18 @@ class TestCli:
     def test_figures_unknown_selection(self, capsys):
         assert main(["figures", "--only", "fig99"]) == 2
 
+    def test_figures_only_fig10_runs_no_comparison(self, capsys, monkeypatch):
+        import repro.experiments.figures as figures
+
+        def no_comparison(*args, **kwargs):
+            raise AssertionError("fig10 alone must not run a policy comparison")
+
+        monkeypatch.setattr(figures, "compare_policies", no_comparison)
+        assert main(["figures", "--only", "fig10"]) == 0
+        out = capsys.readouterr().out
+        assert out.count("### ") == 1 and "### fig10" in out
+        assert out.endswith("OK: 0 shape checks failed\n")
+
     def test_sla_command(self, capsys):
         assert main(["sla", *FAST]) in (0, 1)
         out = capsys.readouterr().out

@@ -4,10 +4,13 @@ Full-scale figure regeneration lives in the benchmark suite; these tests
 exercise the machinery at reduced scale so the unit suite stays fast.
 """
 
+from unittest.mock import Mock
+
 import numpy as np
 import pytest
 
 from repro.config import SimulationConfig, WorkloadParameters
+from repro.errors import SimulationError
 from repro.experiments import (
     compare_policies,
     failure_recovery_scenario,
@@ -17,6 +20,7 @@ from repro.experiments import (
     run_experiment,
 )
 from repro.experiments.figures import FigureResult
+from repro.experiments.runner import ENGINES
 from repro.experiments.report import render_figure, render_report
 
 
@@ -102,13 +106,57 @@ class TestComparison:
         assert ranking[0] == "random"  # random always needs more replicas
 
 
+def _as_dicts(cmp):
+    return {policy: cmp[policy].metrics.as_dict() for policy in cmp.policies()}
+
+
+class TestSharedRuns:
+    """``all_figures`` hands Figs. 3–9 prefixes of one random-query run
+    and all of one flash-crowd run; these pin why that is exact."""
+
+    @pytest.mark.parametrize("engine", ENGINES)
+    @pytest.mark.parametrize(
+        "scenario, is_prefix", [(random_query_scenario, True), (flash_crowd_scenario, False)]
+    )
+    def test_only_a_random_query_run_prefix_is_the_shorter_run(
+        self, cfg, engine, scenario, is_prefix
+    ):
+        # Flash-crowd stages scale with the run length.
+        longer = compare_policies(scenario(cfg, 60), engine=engine).head(40)
+        shorter = compare_policies(scenario(cfg, 40), engine=engine)
+        assert (_as_dicts(longer) == _as_dicts(shorter)) is is_prefix
+
+    def test_head_keeps_the_full_run_and_rejects_epochs_outside_it(self, cfg):
+        cmp = compare_policies(random_query_scenario(cfg, 10), policies=("rfh",))
+        assert cmp.head(10)["rfh"].metrics.as_dict() == cmp["rfh"].metrics.as_dict()
+        assert cmp.head(5)["rfh"].simulation is cmp["rfh"].simulation
+        for epochs in (0, 11):
+            with pytest.raises(SimulationError):
+                cmp.head(epochs)
+
+
 class TestFigureHarness:
     def test_fig10_small_scale(self, cfg):
-        result = fig10_failure_recovery(cfg, epochs=140, failure_epoch=80, failure_count=20)
+        sc = failure_recovery_scenario(cfg, epochs=140, failure_epoch=80, failure_count=20)
+        (failure,) = sc.events
+        result = fig10_failure_recovery(run_experiment("rfh", sc), failure)
         assert result.figure == "fig10"
         assert "10" in result.panels
         assert result.checks["10 servers actually removed"]
         assert result.checks["10 sharp drop at the failure epoch"]
+
+    def test_all_figures_builds_only_the_runs_it_reads(self, cfg, monkeypatch):
+        import repro.experiments.figures as figures
+
+        spy = Mock(wraps=compare_policies)
+        monkeypatch.setattr(figures, "compare_policies", spy)
+        results = figures.all_figures(cfg, only=["fig9", "fig5"])
+        assert list(results) == ["fig5", "fig9"]
+        built = [(call.args[0].name, call.args[0].epochs) for call in spy.call_args_list]
+        assert built == [("random-query", 150), ("flash-crowd", 400)]
+        assert len(results["fig9"].panels["9a"]["rfh"]) == 100
+        with pytest.raises(ValueError, match="fig99"):
+            figures.all_figures(cfg, only=["fig99"])
 
     def test_figure_result_api(self):
         result = FigureResult(
